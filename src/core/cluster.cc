@@ -1,10 +1,9 @@
 #include "core/cluster.h"
 
-#include "core/migration.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <utility>
 
@@ -14,8 +13,6 @@ namespace dinomo {
 
 namespace {
 
-using cluster::RoutingTable;
-
 void SpinFor(double us) {
   const auto until = std::chrono::steady_clock::now() +
                      std::chrono::nanoseconds(static_cast<long>(us * 1000));
@@ -23,26 +20,19 @@ void SpinFor(double us) {
   }
 }
 
-const Status& GetStatus(const Status& s) { return s; }
-template <typename T>
-const Status& GetStatus(const Result<T>& r) {
-  return r.status();
-}
-
-// Admin-path RPC retry: replication changes are off the request path, so
+// Admin-path RPC retry: reconfigurations are off the request path, so
 // they can wait out transient DPM rejections (injected or real) instead
 // of aborting a half-done ownership change. Bounded: ~6 ms worst case.
-template <typename Fn>
-auto RetryTransientRpc(Fn&& fn) -> decltype(fn()) {
+Status RetryTransientRpc(const std::function<Status()>& rpc) {
   Backoff backoff(BackoffOptions{50.0, 2'000.0, 2.0, 0.5}, /*seed=*/11);
-  auto result = fn();
+  Status st = rpc();
   for (int attempt = 1; attempt < 6; ++attempt) {
-    if (result.ok() || !IsTransient(GetStatus(result))) break;
+    if (st.ok() || !IsTransient(st)) break;
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::micro>(backoff.NextDelayUs()));
-    result = fn();
+    st = rpc();
   }
-  return result;
+  return st;
 }
 
 }  // namespace
@@ -386,33 +376,30 @@ bool Client::OpFuture::done() {
 
 // ----- Cluster -----
 
-Cluster::Cluster(const ClusterOptions& options)
-    : options_(options),
-      routing_(options.kn.num_workers),
-      policy_(options.policy) {
-  ClusterOptions& opt = options_;
-  if (opt.variant == SystemVariant::kDinomoN) {
-    opt.dpm.partitioned_metadata = true;
-    opt.kn.dinomo_n = true;
-  }
-  if (opt.variant == SystemVariant::kDinomoS) {
-    opt.kn.policy = kn::CachePolicyKind::kShortcutOnly;
-  }
+namespace {
+
+ClusterOptions WithVariant(ClusterOptions opt) {
+  ApplyVariant(opt.variant, &opt.dpm, &opt.kn);
+  return opt;
+}
+
+std::unique_ptr<dpm::DpmPool> MakePool(const ClusterOptions& opt) {
   dpm::DpmPoolOptions pool_opts;
   pool_opts.nodes = opt.dpm_nodes;
   pool_opts.replication_factor = opt.replication_factor;
   pool_opts.dpm = opt.dpm;
-  pool_ = std::make_unique<dpm::DpmPool>(pool_opts);
+  return std::make_unique<dpm::DpmPool>(pool_opts);
 }
+
+}  // namespace
+
+Cluster::Cluster(const ClusterOptions& options)
+    : options_(WithVariant(options)),
+      pool_(MakePool(options_)),
+      protocol_(this, pool_.get(), options_.variant, options_.kn.num_workers,
+                options_.policy) {}
 
 Cluster::~Cluster() { Stop(); }
-
-kn::KnOptions Cluster::MakeKnOptions(uint64_t kn_id) const {
-  kn::KnOptions kno = options_.kn;
-  kno.kn_id = kn_id;
-  kno.fabric_node = static_cast<int>(kn_id % net::Fabric::kMaxNodes);
-  return kno;
-}
 
 Status Cluster::Start() {
   if (started_.exchange(true)) return Status::Ok();
@@ -445,22 +432,11 @@ Status Cluster::Start() {
     if (tracer()->enabled()) node->merge()->SetTracer(tracer());
     node->merge()->StartThreads(options_.dpm_merge_threads);
   }
-
-  // Hold admin_mu_ for the initial KN bring-up: next_kn_id_ is guarded by
-  // it, and an AddKn racing with a slow Start must not interleave.
-  MutexLock admin(admin_mu_);
-  for (int i = 0; i < options_.initial_kns; ++i) {
-    const uint64_t id = next_kn_id_++;
-    auto node = std::make_unique<kn::KvsNode>(MakeKnOptions(id), pool_.get());
-    node->Start();
-    {
-      MutexLock lock(kns_mu_);
-      kns_[id] = std::move(node);
-    }
-    routing_.AddKn(id);
+  {
+    // An AddKn racing with a slow Start must not interleave.
+    MutexLock admin(admin_mu_);
+    protocol_.Bootstrap(options_.initial_kns);
   }
-  PushRoutingToAll();
-
   if (options_.start_mnode) {
     mnode_running_ = true;
     mnode_thread_ = std::thread([this] { MnodeLoop(); });
@@ -519,37 +495,59 @@ kn::KvsNode* Cluster::kn(uint64_t kn_id) {
   return it == kns_.end() ? nullptr : it->second.get();
 }
 
-void Cluster::PushRoutingToAll() {
-  auto table = routing_.Snapshot();
-  std::vector<kn::KvsNode*> nodes;
-  {
-    MutexLock lock(kns_mu_);
-    for (auto& [id, node] : kns_) {
-      if (!node->failed()) nodes.push_back(node.get());
-    }
-  }
-  for (auto* node : nodes) {
-    const uint64_t id = node->kn_id();
-    node->RunOnAllWorkers([table, id](kn::KnWorker* w) {
-      w->SetRouting(table);
-      // Empty exactly the partitions this KN no longer owns (§3.4:
-      // "the current owner empties its cache").
-      w->cache()->InvalidateIf([table, id](uint64_t key_hash) {
-        return !table->IsOwner(key_hash, id);
-      });
-      // Same hand-off rule for the index-metadata cache: a pointer for a
-      // range this KN no longer owns could otherwise resurface stale
-      // when the range comes back.
-      if (w->icache() != nullptr) {
-        w->icache()->InvalidateIf([table, id](uint64_t key_hash) {
-          return !table->IsOwner(key_hash, id);
-        });
-      }
-    });
-  }
+// ----- Runtime -----
+
+double Cluster::NowUs() {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - epoch_)
+      .count();
 }
 
-Status Cluster::QuiesceKns(const std::vector<uint64_t>& kn_ids) {
+uint64_t Cluster::StartKn() {
+  uint64_t id = 0;
+  {
+    MutexLock lock(kns_mu_);
+    id = next_kn_id_++;
+  }
+  kn::KnOptions kno = options_.kn;
+  kno.kn_id = id;
+  kno.fabric_node = static_cast<int>(id % net::Fabric::kMaxNodes);
+  auto node = std::make_unique<kn::KvsNode>(kno, pool_.get());
+  node->SetAvailable(false);
+  node->Start();
+  MutexLock lock(kns_mu_);
+  kns_[id] = std::move(node);
+  return id;
+}
+
+void Cluster::StopKn(uint64_t kn_id) {
+  std::unique_ptr<kn::KvsNode> node;
+  {
+    MutexLock lock(kns_mu_);
+    auto it = kns_.find(kn_id);
+    if (it == kns_.end()) return;
+    node = std::move(it->second);
+    kns_.erase(it);
+  }
+  node->Stop();
+}
+
+void Cluster::FailKn(uint64_t kn_id) {
+  kn::KvsNode* node = kn(kn_id);
+  if (node != nullptr) node->Fail();
+}
+
+double Cluster::Occupancy(uint64_t, double worker_busy_us, double epoch_us) {
+  return epoch_us > 0 ? std::min(1.0, worker_busy_us / epoch_us) : 0.0;
+}
+
+void Cluster::RunOnWorkers(uint64_t kn_id,
+                           const std::function<void(kn::KnWorker*)>& fn) {
+  kn::KvsNode* node = kn(kn_id);
+  if (node != nullptr && !node->failed()) node->RunOnAllWorkers(fn);
+}
+
+double Cluster::Quiesce(const std::vector<uint64_t>& kn_ids) {
   for (uint64_t id : kn_ids) {
     kn::KvsNode* node = kn(id);
     if (node == nullptr || node->failed()) continue;
@@ -561,255 +559,63 @@ Status Cluster::QuiesceKns(const std::vector<uint64_t>& kn_ids) {
       }
     });
   }
-  return Status::Ok();
+  return NowUs();
 }
 
-void Cluster::ResumeKns(const std::vector<uint64_t>& kn_ids) {
+void Cluster::Resume(const std::vector<uint64_t>& kn_ids, double) {
   for (uint64_t id : kn_ids) {
     kn::KvsNode* node = kn(id);
     if (node != nullptr && !node->failed()) node->SetAvailable(true);
   }
 }
 
-Result<uint64_t> Cluster::MigrateData(uint64_t from_kn,
-                                      const RoutingTable& new_table) {
-  // DINOMO-N only, and that variant clamps the pool to one node.
-  auto stats = MigratePartitionData(pool_->node(0), from_kn, new_table);
-  if (!stats.ok()) return stats.status();
-  return stats.value().keys_moved;
+// The merge threads finish every dequeued batch on their own, and the
+// data movement below already took its wall-clock time.
+double Cluster::SettleMerges(const std::function<bool(uint64_t)>&) {
+  return NowUs();
 }
+double Cluster::ChargeMigration(const MigrationStats&) { return NowUs(); }
+double Cluster::ChargeRepair(const dpm::DpmPool::RepairStats&) {
+  return NowUs();
+}
+
+Status Cluster::AdminRpc(const std::function<Status()>& rpc) {
+  return RetryTransientRpc(rpc);
+}
+
+// ----- Administrative operations -----
 
 Result<uint64_t> Cluster::AddKn() {
   MutexLock admin(admin_mu_);
-  const uint64_t id = next_kn_id_++;
-  auto node = std::make_unique<kn::KvsNode>(MakeKnOptions(id), pool_.get());
-  node->SetAvailable(false);
-  node->Start();
-  {
-    MutexLock lock(kns_mu_);
-    kns_[id] = std::move(node);
-  }
-
-  // Protocol steps 1-3: every KN that loses a range participates.
-  const std::vector<uint64_t> participants = ActiveKns();
-  std::vector<uint64_t> old_kns;
-  for (uint64_t p : participants) {
-    if (p != id) old_kns.push_back(p);
-  }
-  DINOMO_RETURN_IF_ERROR(QuiesceKns(old_kns));
-
-  // Step 4: publish the new mapping.
-  routing_.AddKn(id);
-
-  if (options_.variant == SystemVariant::kDinomoN) {
-    auto table = routing_.Snapshot();
-    for (uint64_t p : old_kns) {
-      auto migrated = MigrateData(p, *table);
-      if (!migrated.ok()) return migrated.status();
-    }
-  }
-
-  // Steps 5-7: push mappings, resume everyone, new KN goes live.
-  PushRoutingToAll();
-  ResumeKns(old_kns);
-  ResumeKns({id});
-  return id;
+  return protocol_.AddKn();
 }
 
 Status Cluster::RemoveKn(uint64_t kn_id) {
   MutexLock admin(admin_mu_);
-  kn::KvsNode* node = kn(kn_id);
-  if (node == nullptr) return Status::NotFound("unknown KN");
-  if (ActiveKns().size() <= 1) {
-    return Status::InvalidArgument("cannot remove the last KN");
-  }
-
-  DINOMO_RETURN_IF_ERROR(QuiesceKns({kn_id}));
-  routing_.RemoveKn(kn_id);
-
-  if (options_.variant == SystemVariant::kDinomoN) {
-    auto table = routing_.Snapshot();
-    auto migrated = MigrateData(kn_id, *table);
-    if (!migrated.ok()) return migrated.status();
-  }
-
-  PushRoutingToAll();
-  node->Stop();
-  {
-    MutexLock lock(kns_mu_);
-    kns_.erase(kn_id);
-  }
-  return Status::Ok();
+  return protocol_.RemoveKn(kn_id);
 }
 
 Status Cluster::KillKn(uint64_t kn_id) {
   MutexLock admin(admin_mu_);
-  kn::KvsNode* node = kn(kn_id);
-  if (node == nullptr) return Status::NotFound("unknown KN");
-
-  // Fail-stop: DRAM contents (cache, un-flushed batches) are gone.
-  node->Fail();
-
-  // Failure handling (§3.5): merge the failed KN's pending log segments,
-  // then repartition ownership among the alive KNs.
-  for (int w = 0; w < options_.kn.num_workers; ++w) {
-    const uint64_t owner = (kn_id << 8) | w;
-    for (int n = 0; n < pool_->num_nodes(); ++n) {
-      if (!pool_->alive(n)) continue;
-      DINOMO_RETURN_IF_ERROR(pool_->node(n)->DrainOwner(owner));
-      pool_->node(n)->ReleaseOwnerSegments(owner);
-    }
-  }
-  routing_.RemoveKn(kn_id);
-
-  if (options_.variant == SystemVariant::kDinomoN) {
-    auto table = routing_.Snapshot();
-    auto migrated = MigrateData(kn_id, *table);
-    if (!migrated.ok()) return migrated.status();
-  }
-
-  PushRoutingToAll();
-  {
-    MutexLock lock(kns_mu_);
-    kns_.erase(kn_id);
-  }
-  return Status::Ok();
+  DINOMO_RETURN_IF_ERROR(protocol_.FailKn(kn_id));
+  return protocol_.RecoverKn(kn_id);
 }
 
 Status Cluster::KillDpm(int node) {
   MutexLock admin(admin_mu_);
-  const auto t0 = std::chrono::steady_clock::now();
-
-  // Fail-stop + promotion: the pool marks the node dead, removes it from
-  // the ring (each range falls to its mirror), drains the survivors'
-  // merge queues and bumps the placement generation. From here every RPC
-  // stamped with the old generation bounces, and each KN worker runs its
-  // failover recovery at its next op.
-  DINOMO_RETURN_IF_ERROR(pool_->KillNode(node));
-
-  // Quiesce KNs: flush + drain every worker's log on the surviving nodes.
-  // DrainLog re-resolves placement first (the generation moved), so
-  // buffered entries re-bin to the promoted owners before the drain.
-  const std::vector<uint64_t> participants = ActiveKns();
-  DINOMO_RETURN_IF_ERROR(QuiesceKns(participants));
-
-  // Shared (selectively replicated) keys are collapsed conservatively:
-  // their indirect slots lived in a single node's pool and their shared
-  // writes were primary-only, so a membership change invalidates the
-  // scheme wholesale. The M-node re-replicates hot keys afterwards.
-  auto table = routing_.Snapshot();
-  for (const auto& [key_hash, owners] : table->replicated) {
-    const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
-    if (pl.primary >= 0 && pool_->alive(pl.primary)) {
-      Status st = RetryTransientRpc([&] {
-        return pool_->node(pl.primary)->RemoveIndirect(0, key_hash);
-      });
-      if (!st.ok() && !st.IsNotFound()) {
-        DINOMO_LOG_STREAM(Warn)
-            << "collapse of replicated key failed: " << st.ToString();
-      }
-    }
-    routing_.ClearReplication(key_hash);
-  }
-
-  // Restore the mirror count for every surviving primary's ranges while
-  // the cluster is quiescent. The repair is idempotent (keys whose mirror
-  // already holds the current value are skipped), so transient injected
-  // faults inside its RPCs are waited out like any admin-path RPC. If it
-  // still fails the KNs must come back regardless — a wedged quiesce
-  // would turn one dead DPM node into a whole-cluster outage.
-  auto repair = RetryTransientRpc([&] { return pool_->ReReplicate(); });
-  if (!repair.ok()) {
-    ResumeKns(participants);
-    return repair.status();
-  }
-
-  PushRoutingToAll();
-  ResumeKns(participants);
-  const double window_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  pool_->NoteRecoveryWindow(window_us);
-  DINOMO_LOG_STREAM(Info) << "dpm node " << node << " killed; mirror "
-                          << "promotion + re-replication ("
-                          << repair.value().entries_copied
-                          << " entries) took " << window_us << " us";
-  return Status::Ok();
+  const double killed_at = NowUs();
+  DINOMO_RETURN_IF_ERROR(protocol_.KillDpm(node));
+  return protocol_.RecoverDpm(killed_at);
 }
 
 Status Cluster::ReplicateKeyHash(uint64_t key_hash, int replication) {
   MutexLock admin(admin_mu_);
-  if (options_.variant == SystemVariant::kDinomoN) {
-    return Status::NotSupported("DINOMO-N has no selective replication");
-  }
-  auto table = routing_.Snapshot();
-  const uint64_t primary = table->PrimaryOwner(key_hash);
-
-  // Build the owner set: primary plus the next distinct KNs.
-  std::vector<uint64_t> owners{primary};
-  for (uint64_t id : ActiveKns()) {
-    if (static_cast<int>(owners.size()) >= replication) break;
-    if (id != primary) owners.push_back(id);
-  }
-  if (owners.size() <= 1) return Status::Ok();  // nothing to share with
-
-  // The primary is the only node that may hold the value in cache: pause
-  // it, land its writes, install the indirect slot, then publish.
-  DINOMO_RETURN_IF_ERROR(QuiesceKns({primary}));
-  // The slot lives on the key's primary DPM node (shared writes and
-  // indirect reads resolve against that node's pool).
-  dpm::DpmNode* home = pool_->node(pool_->PlacementOf(key_hash).primary);
-  auto slot = RetryTransientRpc([&] {
-    return home->InstallIndirect(
-        static_cast<int>(primary % net::Fabric::kMaxNodes), key_hash);
-  });
-  if (!slot.ok()) {
-    ResumeKns({primary});
-    return slot.status();
-  }
-  routing_.SetReplication(key_hash, owners);
-  PushRoutingToAll();
-  kn::KvsNode* node = kn(primary);
-  if (node != nullptr && !node->failed()) {
-    node->RunOnAllWorkers([key_hash](kn::KnWorker* w) {
-      w->cache()->Invalidate(key_hash);
-      if (w->icache() != nullptr) w->icache()->Invalidate(key_hash);
-    });
-  }
-  ResumeKns({primary});
-  return Status::Ok();
+  return protocol_.Replicate(key_hash, replication);
 }
 
 Status Cluster::DereplicateKeyHash(uint64_t key_hash) {
   MutexLock admin(admin_mu_);
-  auto table = routing_.Snapshot();
-  const std::vector<uint64_t> owners = table->OwnersOf(key_hash);
-  if (owners.size() <= 1) return Status::Ok();
-
-  // Stop all owners from racing the write-back, drop their cached
-  // shortcuts, collapse the slot, then publish the single-owner mapping.
-  DINOMO_RETURN_IF_ERROR(QuiesceKns(owners));
-  for (uint64_t id : owners) {
-    kn::KvsNode* node = kn(id);
-    if (node != nullptr && !node->failed()) {
-      node->RunOnAllWorkers([key_hash](kn::KnWorker* w) {
-        w->cache()->Invalidate(key_hash);
-        if (w->icache() != nullptr) w->icache()->Invalidate(key_hash);
-      });
-    }
-  }
-  dpm::DpmNode* home = pool_->node(pool_->PlacementOf(key_hash).primary);
-  Status st =
-      RetryTransientRpc([&] { return home->RemoveIndirect(0, key_hash); });
-  if (!st.ok() && !st.IsNotFound()) {
-    ResumeKns(owners);
-    return st;
-  }
-  routing_.ClearReplication(key_hash);
-  PushRoutingToAll();
-  ResumeKns(owners);
-  return Status::Ok();
+  return protocol_.Dereplicate(key_hash);
 }
 
 void Cluster::RecordLatency(double us) {
@@ -818,78 +624,19 @@ void Cluster::RecordLatency(double us) {
 }
 
 mnode::ClusterMetrics Cluster::CollectMetrics(double epoch_seconds) {
-  mnode::ClusterMetrics metrics;
+  Histogram latency;
   {
     MutexLock lock(latency_mu_);
-    metrics.avg_latency_us = latency_hist_.Average();
-    metrics.p99_latency_us = latency_hist_.P99();
-    latency_hist_.Reset();
+    std::swap(latency, latency_hist_);
   }
-  const double epoch_us = epoch_seconds * 1e6;
-  std::map<uint64_t, uint64_t> key_counts;
-  for (uint64_t id : ActiveKns()) {
-    kn::KvsNode* node = kn(id);
-    if (node == nullptr) continue;
-    kn::WorkerStats stats = node->AggregateStats(/*reset=*/true);
-    metrics.occupancy[id] =
-        epoch_us > 0 ? std::min(1.0, stats.busy_us / epoch_us) : 0.0;
-    for (const auto& [key, count] : stats.hot_keys) {
-      key_counts[key] += count;
-    }
-    metrics.key_freq_mean += stats.key_freq_mean;
-    metrics.key_freq_stddev += stats.key_freq_stddev;
-  }
-  const size_t n = metrics.occupancy.size();
-  if (n > 0) {
-    metrics.key_freq_mean /= n;
-    metrics.key_freq_stddev /= n;
-  }
-  for (const auto& [key, count] : key_counts) {
-    metrics.hot_keys.emplace_back(key, count);
-  }
-  std::sort(metrics.hot_keys.begin(), metrics.hot_keys.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (metrics.hot_keys.size() > 32) metrics.hot_keys.resize(32);
-
-  auto table = routing_.Snapshot();
-  for (const auto& [key, owners] : table->replicated) {
-    metrics.replicated_keys[key] = static_cast<int>(owners.size());
-  }
-  return metrics;
+  MutexLock admin(admin_mu_);
+  return protocol_.CollectMetrics(&latency, epoch_seconds * 1e6);
 }
 
 mnode::PolicyAction Cluster::RunPolicyOnce(double now_s, double epoch_s) {
   mnode::ClusterMetrics metrics = CollectMetrics(epoch_s);
-  mnode::PolicyAction action = policy_.Evaluate(metrics, now_s);
-  switch (action.kind) {
-    case mnode::PolicyAction::Kind::kAddKn: {
-      auto r = AddKn();
-      if (r.ok()) policy_.NoteMembershipChange(now_s);
-      break;
-    }
-    case mnode::PolicyAction::Kind::kRemoveKn: {
-      if (RemoveKn(action.kn_id).ok()) policy_.NoteMembershipChange(now_s);
-      break;
-    }
-    case mnode::PolicyAction::Kind::kReplicateKey: {
-      Status st =
-          ReplicateKeyHash(action.key_hash, action.replication_factor);
-      if (!st.ok()) {
-        DINOMO_LOG_STREAM(Warn) << "replicate failed: " << st.ToString();
-      }
-      break;
-    }
-    case mnode::PolicyAction::Kind::kDereplicateKey: {
-      Status st = DereplicateKeyHash(action.key_hash);
-      if (!st.ok()) {
-        DINOMO_LOG_STREAM(Warn) << "dereplicate failed: " << st.ToString();
-      }
-      break;
-    }
-    case mnode::PolicyAction::Kind::kNone:
-      break;
-  }
-  return action;
+  MutexLock admin(admin_mu_);
+  return protocol_.RunPolicy(metrics, now_s);
 }
 
 void Cluster::FaultEnactorLoop() {
@@ -921,14 +668,10 @@ void Cluster::FaultEnactorLoop() {
 }
 
 void Cluster::MnodeLoop() {
-  using namespace std::chrono;
-  const auto start = steady_clock::now();
   while (mnode_running_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(
-        microseconds(static_cast<long>(options_.mnode_epoch_ms * 1000)));
-    const double now_s =
-        duration_cast<duration<double>>(steady_clock::now() - start).count();
-    RunPolicyOnce(now_s, options_.mnode_epoch_ms / 1000.0);
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        static_cast<long>(options_.mnode_epoch_ms * 1000)));
+    RunPolicyOnce(NowUs() / 1e6, options_.mnode_epoch_ms / 1000.0);
   }
 }
 

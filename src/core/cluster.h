@@ -15,6 +15,7 @@
 #include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/status.h"
+#include "core/reconfig.h"
 #include "dpm/dpm_node.h"
 #include "dpm/dpm_pool.h"
 #include "kn/kvs_node.h"
@@ -23,14 +24,6 @@
 #include "obs/trace.h"
 
 namespace dinomo {
-
-/// Which system of the paper's evaluation a cluster instantiates (§5,
-/// "Comparison points").
-enum class SystemVariant {
-  kDinomo,   // OP + DAC + selective replication
-  kDinomoS,  // shortcut-only cache, otherwise DINOMO
-  kDinomoN,  // shared-nothing: partitioned data/metadata, no replication
-};
 
 /// Configuration of a DINOMO cluster.
 struct ClusterOptions {
@@ -228,15 +221,12 @@ class Client {
 /// The virtual-time engine in src/sim reuses the same components but
 /// drives them through a discrete-event scheduler instead.
 ///
-/// All reconfigurations follow the protocol of §3.5: participants become
-/// unavailable, their logs merge synchronously, the mapping is published,
-/// and they resume — no data is copied (except in DINOMO-N mode, where
-/// reorganization physically moves entries, which is exactly the cost the
-/// paper charges AsymNVM-style designs).
-class Cluster {
+/// Reconfigurations run the shared §3.5 protocol (ReconfigProtocol); this
+/// class is its wall-clock Runtime.
+class Cluster : private Runtime {
  public:
   explicit Cluster(const ClusterOptions& options);
-  ~Cluster();
+  ~Cluster() override;
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -281,7 +271,7 @@ class Cluster {
   /// harnesses that predate the pool keep working through this.
   dpm::DpmNode* dpm() { return pool_->node(0); }
   dpm::DpmPool* dpm_pool() { return pool_.get(); }
-  cluster::RoutingService* routing() { return &routing_; }
+  cluster::RoutingService* routing() { return protocol_.routing(); }
   const ClusterOptions& options() const { return options_; }
   /// The tracer requests sample against (never null).
   obs::Tracer* tracer() const {
@@ -290,7 +280,7 @@ class Cluster {
   }
   /// The installed fault injector, or nullptr when running fault-free.
   net::FaultInjector* fault_injector() { return injector_.get(); }
-  std::vector<uint64_t> ActiveKns() const;
+  std::vector<uint64_t> ActiveKns() const override;
   kn::KvsNode* kn(uint64_t kn_id);
 
   /// Gathers the monitoring metrics the M-node consumes (resets the
@@ -306,16 +296,21 @@ class Cluster {
  private:
   friend class Client;
 
-  kn::KnOptions MakeKnOptions(uint64_t kn_id) const;
-  void PushRoutingToAll();
-  /// Executes protocol steps 1-3 for the given participants: unavailable,
-  /// flush, synchronous merge.
-  Status QuiesceKns(const std::vector<uint64_t>& kn_ids);
-  void ResumeKns(const std::vector<uint64_t>& kn_ids);
-  /// DINOMO-N only: physically moves entries whose owner changed from
-  /// `from_kn` under `new_table`. Returns the number of keys moved.
-  Result<uint64_t> MigrateData(uint64_t from_kn,
-                               const cluster::RoutingTable& new_table);
+  // Runtime: wall clock, real KvsNode threads. Called with admin_mu_ held.
+  double NowUs() override;
+  uint64_t StartKn() override;
+  void StopKn(uint64_t kn_id) override;
+  void FailKn(uint64_t kn_id) override;
+  double Occupancy(uint64_t kn_id, double worker_busy_us,
+                   double epoch_us) override;
+  void RunOnWorkers(uint64_t kn_id,
+                    const std::function<void(kn::KnWorker*)>& fn) override;
+  double Quiesce(const std::vector<uint64_t>& kn_ids) override;
+  void Resume(const std::vector<uint64_t>& kn_ids, double ready_us) override;
+  double SettleMerges(const std::function<bool(uint64_t)>& which) override;
+  double ChargeMigration(const MigrationStats& moved) override;
+  double ChargeRepair(const dpm::DpmPool::RepairStats& repair) override;
+  Status AdminRpc(const std::function<Status()>& rpc) override;
 
   void MnodeLoop();
   /// Enacts due kFailStop events. A dedicated thread because KillKn joins
@@ -324,18 +319,20 @@ class Cluster {
   void FaultEnactorLoop();
 
   ClusterOptions options_;
+  const std::chrono::steady_clock::time_point epoch_ =
+      std::chrono::steady_clock::now();
   std::unique_ptr<dpm::DpmPool> pool_;
   std::unique_ptr<net::FaultInjector> injector_;
-  cluster::RoutingService routing_;
-  mnode::PolicyEngine policy_;
 
   // Outermost locks in the canonical order (DESIGN.md): admin_mu_
-  // serializes whole reconfigurations; kns_mu_ guards only the KN map
-  // and is held for lookups, never across protocol steps.
+  // serializes whole reconfigurations (every protocol_ call); kns_mu_
+  // guards only the KN map and is held for lookups, never across
+  // protocol steps.
   Mutex admin_mu_;
+  ReconfigProtocol protocol_;
   mutable Mutex kns_mu_;
   std::map<uint64_t, std::unique_ptr<kn::KvsNode>> kns_ GUARDED_BY(kns_mu_);
-  uint64_t next_kn_id_ GUARDED_BY(admin_mu_) = 1;
+  uint64_t next_kn_id_ GUARDED_BY(kns_mu_) = 1;
 
   Mutex latency_mu_;
   Histogram latency_hist_ GUARDED_BY(latency_mu_);

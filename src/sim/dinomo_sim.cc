@@ -1,10 +1,9 @@
 #include "sim/dinomo_sim.h"
 
 #include <algorithm>
-#include <cstdio>
 
+#include "common/backoff.h"
 #include "common/logging.h"
-#include "core/migration.h"
 
 namespace dinomo {
 namespace sim {
@@ -27,8 +26,35 @@ constexpr double kMigrateUsPerByte = 1.0 / 180.0;
 constexpr double kRepairPerEntryUs = 2.0;
 }  // namespace
 
+namespace {
+
+DinomoSimOptions WithVariant(DinomoSimOptions opt) {
+  ApplyVariant(opt.variant, &opt.dpm, &opt.kn);
+  if (opt.metrics != nullptr) {
+    opt.dpm.metrics = opt.metrics;
+    opt.kn.metrics = opt.metrics;
+  }
+  return opt;
+}
+
+std::unique_ptr<dpm::DpmPool> MakePool(const DinomoSimOptions& opt) {
+  dpm::DpmPoolOptions pool_opts;
+  pool_opts.nodes = opt.dpm_nodes;
+  pool_opts.replication_factor = opt.replication_factor;
+  pool_opts.dpm = opt.dpm;
+  return std::make_unique<dpm::DpmPool>(pool_opts);
+}
+
+const char* OpName(workload::OpType type) {
+  return type == workload::OpType::kRead   ? "get"
+         : type == workload::OpType::kScan ? "scan"
+                                           : "put";
+}
+
+}  // namespace
+
 DinomoSim::DinomoSim(const DinomoSimOptions& options)
-    : options_(options),
+    : options_(WithVariant(options)),
       tracer_(options.tracer != nullptr ? options.tracer
                                         : &obs::Tracer::Global()),
       metrics_(obs::Scope("sim.dinomo", options.metrics)),
@@ -36,27 +62,12 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
       throughput_mops_(metrics_.gauge("throughput_mops")),
       link_utilization_(metrics_.gauge("link.utilization")),
       dpm_utilization_(metrics_.gauge("dpm_pool.utilization")),
-      routing_(options.kn.num_workers),
-      policy_(options.policy),
+      pool_(MakePool(options_)),
+      protocol_(this, pool_.get(), options_.variant, options_.kn.num_workers,
+                options_.policy),
       link_(options.dpm.link_profile.bandwidth_gbps),
       dpm_pool_(options.dpm_threads),
-      windows_(options.stats_window_us) {
-  if (options_.variant == SystemVariant::kDinomoN) {
-    options_.dpm.partitioned_metadata = true;
-    options_.kn.dinomo_n = true;
-  }
-  if (options_.variant == SystemVariant::kDinomoS) {
-    options_.kn.policy = kn::CachePolicyKind::kShortcutOnly;
-  }
-  if (options_.metrics != nullptr) {
-    options_.dpm.metrics = options_.metrics;
-    options_.kn.metrics = options_.metrics;
-  }
-  dpm::DpmPoolOptions pool_opts;
-  pool_opts.nodes = options_.dpm_nodes;
-  pool_opts.replication_factor = options_.replication_factor;
-  pool_opts.dpm = options_.dpm;
-  pool_ = std::make_unique<dpm::DpmPool>(pool_opts);
+      closed_stats_(options.stats_window_us) {
   if (tracer_->enabled()) {
     // Virtual-time tracing: timestamps come from the engine clock, so a
     // trace replays bit-identically for a given seed. The clock override
@@ -78,10 +89,7 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
     // identically across runs; delays must never block the sim thread.
     injector_->SetClock([this] { return engine_.now_us(); });
     injector_->set_sleep_on_delay(false);
-    for (int i = 0; i < pool_->num_nodes(); ++i) {
-      pool_->node(i)->fabric()->SetFaultInjector(injector_.get());
-      pool_->node(i)->SetFaultInjector(injector_.get());
-    }
+    InstallInjector(injector_.get());
     for (const net::FaultEvent& ev : options_.faults.events) {
       if (ev.kind == net::FaultEvent::Kind::kFailStop) {
         engine_.ScheduleAt(ev.start_us, [this] {
@@ -100,8 +108,7 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
     }
   }
 
-  for (int i = 0; i < options_.num_kns; ++i) AddKnInternal(true);
-  PushRouting();
+  protocol_.Bootstrap(options_.num_kns);
 
   streams_.resize(options_.client_threads);
   for (int i = 0; i < options_.client_threads; ++i) {
@@ -114,26 +121,9 @@ DinomoSim::~DinomoSim() {
   if (trace_clock_installed_) {
     // End in-flight traces while the virtual clock is still installed,
     // then restore the wall clock for whoever uses the tracer next.
-    for (Stream& s : streams_) s.traces.clear();
-    open_traces_.clear();
+    traces_.clear();
     tracer_->SetClock(nullptr);
   }
-}
-
-void DinomoSim::AddKnInternal(bool available) {
-  auto kn_sim = std::make_unique<KnSim>();
-  kn_sim->kn_id = next_kn_id_++;
-  kn_sim->unavailable_until = available ? 0.0 : 1e18;
-  kn::KnOptions kno = options_.kn;
-  kno.kn_id = kn_sim->kn_id;
-  kno.fabric_node = static_cast<int>(kn_sim->kn_id % net::Fabric::kMaxNodes);
-  for (int w = 0; w < options_.kn.num_workers; ++w) {
-    auto ws = std::make_unique<WorkerSim>();
-    ws->worker = std::make_unique<kn::KnWorker>(kno, w, pool_.get());
-    kn_sim->workers.push_back(std::move(ws));
-  }
-  kns_.push_back(std::move(kn_sim));
-  routing_.AddKn(kns_.back()->kn_id);
 }
 
 DinomoSim::KnSim* DinomoSim::FindKn(uint64_t kn_id) {
@@ -151,7 +141,7 @@ int DinomoSim::NumActiveKns() const {
   return n;
 }
 
-std::vector<uint64_t> DinomoSim::ActiveKnIds() const {
+std::vector<uint64_t> DinomoSim::ActiveKns() const {
   std::vector<uint64_t> out;
   for (const auto& k : kns_) {
     if (!k->failed) out.push_back(k->kn_id);
@@ -159,35 +149,11 @@ std::vector<uint64_t> DinomoSim::ActiveKnIds() const {
   return out;
 }
 
-void DinomoSim::PushRouting() {
-  auto table = routing_.Snapshot();
-  for (auto& k : kns_) {
-    if (k->failed) continue;
-    const uint64_t id = k->kn_id;
-    for (auto& ws : k->workers) {
-      ws->worker->SetRouting(table);
-      ws->worker->cache()->InvalidateIf([&table, id](uint64_t key_hash) {
-        return !table->IsOwner(key_hash, id);
-      });
-      if (ws->worker->icache() != nullptr) {
-        ws->worker->icache()->InvalidateIf([&table, id](uint64_t key_hash) {
-          return !table->IsOwner(key_hash, id);
-        });
-      }
-    }
-  }
-}
-
 void DinomoSim::Preload() {
   // Load-phase traffic is not part of any experiment; suspend injection
   // so the strict load-loop invariants (only Busy rejections) hold.
-  if (injector_ != nullptr) {
-    for (int i = 0; i < pool_->num_nodes(); ++i) {
-      pool_->node(i)->fabric()->SetFaultInjector(nullptr);
-      pool_->node(i)->SetFaultInjector(nullptr);
-    }
-  }
-  auto table = routing_.Snapshot();
+  InstallInjector(nullptr);
+  auto table = protocol_.routing()->Snapshot();
   const std::string value(options_.spec.value_size, 'p');
   for (uint64_t rec = 0; rec < options_.spec.record_count; ++rec) {
     const std::string key = workload::KeyForRecord(rec);
@@ -230,11 +196,13 @@ void DinomoSim::Preload() {
   }
   // Measurement starts fresh: keep the warm caches, reset the counters.
   ResetProfileWindow();
-  if (injector_ != nullptr) {
-    for (int i = 0; i < pool_->num_nodes(); ++i) {
-      pool_->node(i)->fabric()->SetFaultInjector(injector_.get());
-      pool_->node(i)->SetFaultInjector(injector_.get());
-    }
+  InstallInjector(injector_.get());
+}
+
+void DinomoSim::InstallInjector(net::FaultInjector* injector) {
+  for (int i = 0; i < pool_->num_nodes(); ++i) {
+    pool_->node(i)->fabric()->SetFaultInjector(injector);
+    pool_->node(i)->SetFaultInjector(injector);
   }
 }
 
@@ -276,56 +244,71 @@ void DinomoSim::IssueNext(int stream_idx) {
   // pipeline_depth. Depth 1 degenerates to issue-one-await-one.
   const int depth = std::max(1, options_.pipeline_depth);
   while (s.active && engine_.now_us() < run_until_ && s.in_flight < depth) {
-    const workload::WorkloadOp op = s.gen->Next();
-    obs::TraceContext* trace = nullptr;
-    if (tracer_->ShouldSample()) {
-      s.traces.push_back(std::make_unique<obs::TraceContext>(
-          tracer_, op.type == workload::OpType::kRead    ? "get"
-                   : op.type == workload::OpType::kScan ? "scan"
-                                                        : "put"));
-      s.traces.back()->set_pid(trace_pid_);
-      trace = s.traces.back().get();
-    }
+    auto op = std::make_shared<InflightOp>();
+    op->op = s.gen->Next();
+    op->stream = stream_idx;
+    op->intended_us = engine_.now_us();
     s.in_flight++;
-    ExecuteOp(stream_idx, op, engine_.now_us(), 0, trace);
+    Launch(std::move(op));
   }
 }
 
-void DinomoSim::ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
-                          double issue_time, int attempt,
-                          obs::TraceContext* trace) {
-  if (!streams_[stream_idx].active) {
+void DinomoSim::Launch(std::shared_ptr<InflightOp> op) {
+  if (tracer_->ShouldSample()) {
+    traces_.push_back(
+        std::make_unique<obs::TraceContext>(tracer_, OpName(op->op.type)));
+    traces_.back()->set_pid(trace_pid_);
+    op->trace = traces_.back().get();
+  }
+  Dispatch(op);
+}
+
+void DinomoSim::Dispatch(const std::shared_ptr<InflightOp>& op) {
+  const bool closed = op->stream != kOpenLoop;
+  if (closed && !streams_[op->stream].active) {
     // Deactivated (load change) with this op still rescheduling: drop it
     // and release its window slot so a later reactivation starts clean.
-    Stream& s = streams_[stream_idx];
-    s.in_flight--;
-    for (auto it = s.traces.begin(); it != s.traces.end(); ++it) {
-      if (it->get() == trace) {
-        s.traces.erase(it);
-        break;
-      }
-    }
+    streams_[op->stream].in_flight--;
+    ReleaseTrace(op->trace);
     return;
   }
   const double now = engine_.now_us();
-  if (trace != nullptr) trace->FlushWait(now);
-  if (attempt > 100) {
-    // Give up on this op (e.g. prolonged outage); issue the next one so
-    // the closed loop cannot wedge.
-    abandoned_ops_++;
-    CompleteOp(stream_idx, issue_time, now, trace);
+  if (op->trace != nullptr) op->trace->FlushWait(now);
+  if (op->attempt > 100) {
+    // Give up on this op (e.g. prolonged outage) so neither loop wedges.
+    // A closed-loop stream counts it complete and issues its next op.
+    if (closed) {
+      closed_stats_.abandoned++;
+      Complete(*op, now);
+    } else {
+      open_stats_->abandoned++;
+      ReleaseTrace(op->trace);
+    }
     return;
   }
-  auto retry = [=, this] {
-    ExecuteOp(stream_idx, op, issue_time, attempt + 1, trace);
+  // Service latency measures from the dispatch that got served; every
+  // earlier rejected attempt's wait lands only in intended latency.
+  op->dispatch_us = now;
+  auto retry = [this, op] {
+    op->attempt++;
+    Dispatch(op);
   };
-  const double finish =
-      TryServe(op, streams_[stream_idx].gen->Value(), trace,
-               /*async_worker=*/options_.pipeline_depth > 1, retry);
+  const double finish = TryServe(
+      op->op, closed ? streams_[op->stream].gen->Value() : open_value_,
+      op->trace, /*async_worker=*/!closed || options_.pipeline_depth > 1,
+      retry);
   if (finish < 0) return;
-  engine_.ScheduleAt(finish, [=, this] {
-    CompleteOp(stream_idx, issue_time, finish, trace);
-  });
+  engine_.ScheduleAt(finish, [this, op, finish] { Complete(*op, finish); });
+}
+
+void DinomoSim::ReleaseTrace(obs::TraceContext* trace) {
+  if (trace == nullptr) return;
+  for (auto it = traces_.begin(); it != traces_.end(); ++it) {
+    if (it->get() == trace) {
+      traces_.erase(it);  // ~TraceContext ends the request
+      return;
+    }
+  }
 }
 
 double DinomoSim::TryServe(const workload::WorkloadOp& op,
@@ -333,7 +316,7 @@ double DinomoSim::TryServe(const workload::WorkloadOp& op,
                            obs::TraceContext* trace, bool async_worker,
                            const std::function<void()>& retry) {
   const double now = engine_.now_us();
-  auto table = routing_.Snapshot();
+  auto table = protocol_.routing()->Snapshot();
   if (table->global_ring.empty()) {
     if (trace != nullptr) trace->MarkWait(obs::SpanKind::kBackoff, now);
     engine_.ScheduleAfter(options_.routing_refresh_us, retry);
@@ -438,28 +421,24 @@ double DinomoSim::TryServe(const workload::WorkloadOp& op,
   return finish;
 }
 
-void DinomoSim::CompleteOp(int stream_idx, double issue_time, double finish,
-                           obs::TraceContext* trace) {
-  Stream& s = streams_[stream_idx];
-  if (trace != nullptr) {
-    trace->EndRequest();
-    for (auto it = s.traces.begin(); it != s.traces.end(); ++it) {
-      if (it->get() == trace) {
-        s.traces.erase(it);
-        break;
-      }
-    }
-  }
-  s.in_flight--;
-  const double latency = finish - issue_time;
-  windows_.Record(finish, latency);
-  epoch_latency_.Add(latency);
+void DinomoSim::Complete(const InflightOp& op, double finish) {
+  ReleaseTrace(op.trace);
+  const bool closed = op.stream != kOpenLoop;
+  OpenLoopStats& stats = closed ? closed_stats_ : *open_stats_;
+  stats.completed++;
+  const double latency = finish - op.intended_us;
+  stats.windows.Record(finish, latency);
+  interval_latency_.Add(latency);
   if (finish >= warmup_until_) {
-    run_latency_.Add(latency);
+    stats.intended_latency.Add(latency);
+    stats.service_latency.Add(finish - op.dispatch_us);
+    stats.completed_after_warmup++;
     op_latency_us_.Record(latency);
-    completed_after_warmup_++;
   }
-  IssueNext(stream_idx);
+  if (closed) {
+    streams_[op.stream].in_flight--;
+    IssueNext(op.stream);
+  }
 }
 
 void DinomoSim::PumpMerges() {
@@ -506,15 +485,10 @@ void DinomoSim::RunOpenLoop(const OpenLoopOptions& opts, double duration_us,
   open_source_ = opts.source;
   open_stats_ = std::make_unique<OpenLoopStats>(options_.stats_window_us);
   open_value_.assign(opts.value_size, 'o');
-  open_run_until_ = now + duration_us;
-  open_warmup_until_ = now + warmup_us;
-  // Closed-loop bookkeeping (MnodeEpoch's rescheduling guard) keys off
-  // run_until_; keep it in sync so both engines can share hooks.
-  run_until_ = open_run_until_;
-  warmup_until_ = open_warmup_until_;
+  run_until_ = now + duration_us;
+  warmup_until_ = now + warmup_us;
   open_exhausted_ = false;
-  open_in_flight_ = 0;
-  open_interval_latency_.Reset();
+  interval_latency_.Reset();
   open_interval_offered_ = 0;
   if (opts.autoscale) {
     autoscaler_ = std::make_unique<mnode::SloAutoscaler>(opts.autoscaler);
@@ -522,25 +496,27 @@ void DinomoSim::RunOpenLoop(const OpenLoopOptions& opts, double duration_us,
     engine_.ScheduleAfter(autoscaler_interval_us_,
                           [this] { AutoscalerEval(); });
   }
-  OpenScheduleNextArrival();
-  engine_.RunUntil(open_run_until_);
-  open_stats_->in_flight_at_end = open_in_flight_;
+  ScheduleNextArrival();
+  engine_.RunUntil(run_until_);
+  open_stats_->in_flight_at_end = open_stats_->offered -
+                                  open_stats_->completed -
+                                  open_stats_->abandoned;
   if (autoscaler_ != nullptr) {
     open_stats_->scale_ups = autoscaler_->scale_ups();
     open_stats_->scale_downs = autoscaler_->scale_downs();
   }
   const double elapsed = engine_.now_us();
-  const double span = open_run_until_ - open_warmup_until_;
+  const double span = run_until_ - warmup_until_;
   throughput_mops_.Set(
       span > 0 ? open_stats_->completed_after_warmup / span : 0.0);
   link_utilization_.Set(link_.Utilization(elapsed));
   dpm_utilization_.Set(dpm_pool_.Utilization(elapsed));
 }
 
-void DinomoSim::OpenScheduleNextArrival() {
+void DinomoSim::ScheduleNextArrival() {
   if (open_exhausted_) return;
   load::TimedOp timed;
-  if (!open_source_->Next(&timed) || timed.intended_us >= open_run_until_) {
+  if (!open_source_->Next(&timed) || timed.intended_us >= run_until_) {
     open_exhausted_ = true;
     return;
   }
@@ -550,106 +526,36 @@ void DinomoSim::OpenScheduleNextArrival() {
   // immediately; its lateness is charged to intended latency.
   const double at = std::max(timed.intended_us, engine_.now_us());
   engine_.ScheduleAt(at, [this, timed] {
-    OpenIssue(timed);
-    OpenScheduleNextArrival();
-  });
-}
-
-void DinomoSim::OpenIssue(const load::TimedOp& timed) {
-  OpenLoopStats& stats = *open_stats_;
-  stats.offered++;
-  const size_t widx =
-      static_cast<size_t>(timed.intended_us / stats.windows.window_us());
-  if (stats.offered_per_window.size() <= widx) {
-    stats.offered_per_window.resize(widx + 1);
-  }
-  stats.offered_per_window[widx]++;
-  open_interval_offered_++;
-  auto op = std::make_shared<OpenOp>();
-  op->op = timed.op;
-  op->intended_us = timed.intended_us;
-  if (tracer_->ShouldSample()) {
-    open_traces_.push_back(std::make_unique<obs::TraceContext>(
-        tracer_, op->op.type == workload::OpType::kRead   ? "get"
-                 : op->op.type == workload::OpType::kScan ? "scan"
-                                                          : "put"));
-    open_traces_.back()->set_pid(trace_pid_);
-    op->trace = open_traces_.back().get();
-  }
-  open_in_flight_++;
-  OpenExecute(std::move(op));
-}
-
-void DinomoSim::OpenExecute(std::shared_ptr<OpenOp> op) {
-  const double now = engine_.now_us();
-  if (op->trace != nullptr) op->trace->FlushWait(now);
-  if (op->attempt > 100) {
-    // Same retry budget as the closed loop: a prolonged outage must not
-    // pin ops forever.
-    open_stats_->abandoned++;
-    open_in_flight_--;
-    OpenDropTrace(op->trace);
-    return;
-  }
-  // Service latency measures from the dispatch that got served; every
-  // earlier rejected attempt's wait lands only in intended latency.
-  op->dispatch_us = now;
-  std::shared_ptr<OpenOp> self = op;
-  auto retry = [this, self] {
-    self->attempt++;
-    OpenExecute(self);
-  };
-  const double finish =
-      TryServe(op->op, open_value_, op->trace, /*async_worker=*/true, retry);
-  if (finish < 0) return;
-  engine_.ScheduleAt(finish,
-                     [this, self, finish] { OpenComplete(self, finish); });
-}
-
-void DinomoSim::OpenComplete(const std::shared_ptr<OpenOp>& op,
-                             double finish) {
-  if (op->trace != nullptr) {
-    op->trace->EndRequest();
-    OpenDropTrace(op->trace);
-  }
-  open_in_flight_--;
-  OpenLoopStats& stats = *open_stats_;
-  stats.completed++;
-  const double intended_lat = finish - op->intended_us;
-  const double service_lat = finish - op->dispatch_us;
-  stats.windows.Record(finish, intended_lat);
-  open_interval_latency_.Add(intended_lat);
-  if (finish >= open_warmup_until_) {
-    stats.intended_latency.Add(intended_lat);
-    stats.service_latency.Add(service_lat);
-    stats.completed_after_warmup++;
-    op_latency_us_.Record(intended_lat);
-  }
-}
-
-void DinomoSim::OpenDropTrace(obs::TraceContext* trace) {
-  if (trace == nullptr) return;
-  for (auto it = open_traces_.begin(); it != open_traces_.end(); ++it) {
-    if (it->get() == trace) {
-      open_traces_.erase(it);
-      return;
+    OpenLoopStats& stats = *open_stats_;
+    stats.offered++;
+    const size_t widx =
+        static_cast<size_t>(timed.intended_us / stats.windows.window_us());
+    if (stats.offered_per_window.size() <= widx) {
+      stats.offered_per_window.resize(widx + 1);
     }
-  }
+    stats.offered_per_window[widx]++;
+    open_interval_offered_++;
+    auto op = std::make_shared<InflightOp>();
+    op->op = timed.op;
+    op->intended_us = timed.intended_us;
+    Launch(std::move(op));
+    ScheduleNextArrival();
+  });
 }
 
 void DinomoSim::AutoscalerEval() {
   const double now = engine_.now_us();
   mnode::SloSample sample;
-  sample.p99_us = open_interval_latency_.P99();
-  sample.completed = open_interval_latency_.count();
+  sample.p99_us = interval_latency_.P99();
+  sample.completed = interval_latency_.count();
   sample.offered = open_interval_offered_;
   sample.active_kns = NumActiveKns();
-  open_interval_latency_.Reset();
+  interval_latency_.Reset();
   open_interval_offered_ = 0;
   const mnode::SloAutoscaler::Decision decision =
       autoscaler_->Observe(sample, now / 1e6);
   if (decision.delta_kns > 0) {
-    for (int i = 0; i < decision.delta_kns; ++i) DoAddKn();
+    for (int i = 0; i < decision.delta_kns; ++i) (void)protocol_.AddKn();
   } else {
     for (int i = 0; i < -decision.delta_kns; ++i) {
       // Retire the KN that did the least work since the last eval; its
@@ -665,14 +571,14 @@ void DinomoSim::AutoscalerEval() {
           found = true;
         }
       }
-      if (found) DoRemoveKn(victim);
+      if (found) (void)protocol_.RemoveKn(victim);
     }
   }
   // Occupancy counters only feed victim choice here; restart them so the
   // next decision reflects post-change traffic.
   for (const auto& k : kns_) k->busy_us_epoch = 0.0;
   open_stats_->kn_trajectory.emplace_back(now, NumActiveKns());
-  if (now < open_run_until_) {
+  if (now < run_until_) {
     engine_.ScheduleAfter(autoscaler_interval_us_,
                           [this] { AutoscalerEval(); });
   }
@@ -680,7 +586,7 @@ void DinomoSim::AutoscalerEval() {
 
 double DinomoSim::ThroughputMops() const {
   const double span = run_until_ - warmup_until_;
-  return span > 0 ? completed_after_warmup_ / span : 0.0;
+  return span > 0 ? closed_stats_.completed_after_warmup / span : 0.0;
 }
 
 void DinomoSim::ResetProfileWindow() {
@@ -787,10 +693,6 @@ void DinomoSim::ScheduleKill(double at_us, int kn_index) {
   engine_.ScheduleAt(at_us, [this, kn_index] { DoKill(kn_index); });
 }
 
-void DinomoSim::ScheduleDpmKill(double at_us, int node) {
-  engine_.ScheduleAt(at_us, [this, node] { DoDpmKill(node); });
-}
-
 void DinomoSim::EnableMnode() {
   if (mnode_enabled_) return;
   mnode_enabled_ = true;
@@ -798,346 +700,157 @@ void DinomoSim::EnableMnode() {
   engine_.ScheduleAfter(options_.mnode_epoch_us, [this] { MnodeEpoch(); });
 }
 
-mnode::ClusterMetrics DinomoSim::CollectEpochMetrics() {
-  mnode::ClusterMetrics metrics;
-  metrics.avg_latency_us = epoch_latency_.Average();
-  metrics.p99_latency_us = epoch_latency_.P99();
-  epoch_latency_.Reset();
-
-  const double epoch_us = engine_.now_us() - epoch_started_;
-  std::unordered_map<uint64_t, uint64_t> key_counts;
-  double mean_sum = 0.0;
-  double std_sum = 0.0;
-  int n = 0;
-  for (auto& k : kns_) {
-    if (k->failed) continue;
-    const double per_worker_us = epoch_us * k->workers.size();
-    metrics.occupancy[k->kn_id] =
-        per_worker_us > 0
-            ? std::min(1.0, k->busy_us_epoch / per_worker_us)
-            : 0.0;
-    k->busy_us_epoch = 0.0;
-    for (auto& ws : k->workers) {
-      auto stats = ws->worker->SnapshotStats(/*reset=*/true);
-      for (const auto& [key, count] : stats.hot_keys) {
-        key_counts[key] += count;
-      }
-      mean_sum += stats.key_freq_mean;
-      std_sum += stats.key_freq_stddev;
-      n++;
-    }
-  }
-  if (n > 0) {
-    metrics.key_freq_mean = mean_sum / n;
-    metrics.key_freq_stddev = std_sum / n;
-  }
-  for (const auto& [key, count] : key_counts) {
-    metrics.hot_keys.emplace_back(key, count);
-  }
-  std::sort(metrics.hot_keys.begin(), metrics.hot_keys.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (metrics.hot_keys.size() > 32) metrics.hot_keys.resize(32);
-  auto table = routing_.Snapshot();
-  for (const auto& [key, owners] : table->replicated) {
-    metrics.replicated_keys[key] = static_cast<int>(owners.size());
-  }
-  return metrics;
-}
-
 void DinomoSim::MnodeEpoch() {
   const double now = engine_.now_us();
-  mnode::ClusterMetrics metrics = CollectEpochMetrics();
+  mnode::ClusterMetrics metrics =
+      protocol_.CollectMetrics(&interval_latency_, now - epoch_started_);
   epoch_started_ = now;
-  const mnode::PolicyAction action = policy_.Evaluate(metrics, now / 1e6);
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): the sim is single-threaded and
-  // nothing in the process calls setenv.
-  if (getenv("DINOMO_SIM_DEBUG") != nullptr) {
-    double min_occ = 1.0;
-    for (auto& [id, o] : metrics.occupancy) min_occ = std::min(min_occ, o);
-    fprintf(stderr, "[mnode t=%.0fms] avg=%.1f p99=%.1f minocc=%.3f kns=%zu action=%d\n",
-            now / 1000, metrics.avg_latency_us, metrics.p99_latency_us,
-            min_occ, metrics.occupancy.size(), static_cast<int>(action.kind));
-  }
-  switch (action.kind) {
-    case mnode::PolicyAction::Kind::kAddKn:
-      DoAddKn();
-      policy_.NoteMembershipChange(now / 1e6);
-      break;
-    case mnode::PolicyAction::Kind::kRemoveKn:
-      DoRemoveKn(action.kn_id);
-      policy_.NoteMembershipChange(now / 1e6);
-      break;
-    case mnode::PolicyAction::Kind::kReplicateKey:
-      DoReplicate(action.key_hash, action.replication_factor);
-      break;
-    case mnode::PolicyAction::Kind::kDereplicateKey:
-      DoDereplicate(action.key_hash);
-      break;
-    case mnode::PolicyAction::Kind::kNone:
-      break;
-  }
+  protocol_.RunPolicy(metrics, now / 1e6);
   if (now < run_until_) {
     engine_.ScheduleAfter(options_.mnode_epoch_us, [this] { MnodeEpoch(); });
   }
 }
 
-void DinomoSim::DoAddKn() {
-  const double now = engine_.now_us();
-  // Step 1-3: flush and synchronously merge every participant's logs.
-  for (auto& k : kns_) {
-    if (k->failed) continue;
-    for (auto& ws : k->workers) {
-      kn::OpResult r = ws->worker->FlushWrites();
-      (void)r;
-    }
-  }
-  double done = now + kReconfigOverheadUs;
-  for (int n = 0; n < pool_->num_nodes(); ++n) {
-    dpm::MergeTask task;
-    while (pool_->node(n)->merge()->TryDequeue(&task)) {
-      const double cpu = pool_->node(n)->merge()->Execute(task);
-      done = std::max(done, dpm_pool_.Reserve(now, cpu));
-      pool_->node(n)->merge()->Finish(task);
-    }
-  }
-  // Step 4: new node + new mapping.
-  AddKnInternal(/*available=*/false);
-  KnSim* fresh = kns_.back().get();
-
-  if (options_.variant == SystemVariant::kDinomoN) {
-    // Physical data reorganization: the stall the paper shows in Fig 6.
-    auto table = routing_.Snapshot();
-    uint64_t bytes = 0;
-    uint64_t keys = 0;
-    for (auto& k : kns_) {
-      if (k->failed || k->kn_id == fresh->kn_id) continue;
-      auto stats = MigratePartitionData(pool_->node(0), k->kn_id, *table);
-      DINOMO_CHECK(stats.ok());
-      bytes += stats.value().bytes_moved;
-      keys += stats.value().keys_moved;
-    }
-    done = std::max(done, link_.Reserve(now, bytes));
-    done = std::max(done, dpm_pool_.Reserve(now, keys * kMigratePerKeyUs));
-    done = std::max(done, now + bytes * kMigrateUsPerByte);
-  }
-
-  // Step 5-7: participants resume at `done`; mappings pushed.
-  for (auto& k : kns_) {
-    if (k->failed) continue;
-    k->unavailable_until = std::max(k->unavailable_until, done);
-  }
-  fresh->unavailable_until = done;
-  PushRouting();
-}
-
-void DinomoSim::DoRemoveKn(uint64_t kn_id) {
-  const double now = engine_.now_us();
-  KnSim* k = FindKn(kn_id);
-  if (k == nullptr || k->failed) return;
-  for (auto& ws : k->workers) {
-    kn::OpResult r = ws->worker->FlushWrites();
-    (void)r;
-  }
-  double done = now + kReconfigOverheadUs;
-  for (int n = 0; n < pool_->num_nodes(); ++n) {
-    dpm::MergeTask task;
-    while (pool_->node(n)->merge()->TryDequeue(&task)) {
-      const double cpu = pool_->node(n)->merge()->Execute(task);
-      done = std::max(done, dpm_pool_.Reserve(now, cpu));
-      pool_->node(n)->merge()->Finish(task);
-    }
-  }
-  routing_.RemoveKn(kn_id);
-  if (options_.variant == SystemVariant::kDinomoN) {
-    auto table = routing_.Snapshot();
-    auto stats = MigratePartitionData(pool_->node(0), kn_id, *table);
-    DINOMO_CHECK(stats.ok());
-    done = std::max(done, link_.Reserve(now, stats.value().bytes_moved));
-    done = std::max(done, dpm_pool_.Reserve(
-                              now, stats.value().keys_moved *
-                                       kMigratePerKeyUs));
-    done = std::max(done, now + stats.value().bytes_moved * kMigrateUsPerByte);
-    // The gainers stall while data reorganizes.
-    for (auto& other : kns_) {
-      if (!other->failed && other->kn_id != kn_id) {
-        other->unavailable_until =
-            std::max(other->unavailable_until, done);
-      }
-    }
-  }
-  k->failed = true;  // departed
-  PushRouting();
-}
-
-void DinomoSim::DoReplicate(uint64_t key_hash, int replication) {
-  const double now = engine_.now_us();
-  auto table = routing_.Snapshot();
-  const uint64_t primary = table->PrimaryOwner(key_hash);
-  std::vector<uint64_t> owners{primary};
-  for (const auto& k : kns_) {
-    if (static_cast<int>(owners.size()) >= replication) break;
-    if (!k->failed && k->kn_id != primary) owners.push_back(k->kn_id);
-  }
-  if (owners.size() <= 1) return;
-
-  KnSim* p = FindKn(primary);
-  if (p == nullptr || p->failed) return;
-  for (auto& ws : p->workers) {
-    kn::OpResult r = ws->worker->FlushWrites();
-    (void)r;
-    for (int n = 0; n < pool_->num_nodes(); ++n) {
-      if (!pool_->alive(n)) continue;
-      Status st = pool_->node(n)->DrainOwner(ws->worker->log_owner());
-      DINOMO_CHECK(st.ok());
-    }
-  }
-  // The indirect slot lives on the key's primary DPM node.
-  auto slot = pool_->node(pool_->PlacementOf(key_hash).primary)
-                  ->InstallIndirect(
-                      static_cast<int>(primary % net::Fabric::kMaxNodes),
-                      key_hash);
-  if (!slot.ok()) return;
-  for (auto& ws : p->workers) {
-    ws->worker->cache()->Invalidate(key_hash);
-    if (ws->worker->icache() != nullptr) {
-      ws->worker->icache()->Invalidate(key_hash);
-    }
-  }
-  routing_.SetReplication(key_hash, owners);
-  // Brief primary pause while ownership metadata propagates ("brief tail
-  // latency spikes ... to retrieve the up-to-date ownership mapping").
-  p->unavailable_until = std::max(p->unavailable_until, now + 1000.0);
-  PushRouting();
-}
-
-void DinomoSim::DoDereplicate(uint64_t key_hash) {
-  auto table = routing_.Snapshot();
-  const auto owners = table->OwnersOf(key_hash);
-  if (owners.size() <= 1) return;
-  for (uint64_t id : owners) {
-    KnSim* k = FindKn(id);
-    if (k == nullptr || k->failed) continue;
-    for (auto& ws : k->workers) {
-      ws->worker->cache()->Invalidate(key_hash);
-      if (ws->worker->icache() != nullptr) {
-        ws->worker->icache()->Invalidate(key_hash);
-      }
-    }
-  }
-  Status st = pool_->node(pool_->PlacementOf(key_hash).primary)
-                  ->RemoveIndirect(0, key_hash);
-  if (!st.ok() && !st.IsNotFound()) return;
-  routing_.ClearReplication(key_hash);
-  PushRouting();
-}
-
 void DinomoSim::DoKill(int kn_index) {
-  std::vector<KnSim*> active;
-  for (auto& k : kns_) {
-    if (!k->failed) active.push_back(k.get());
-  }
+  const std::vector<uint64_t> active = ActiveKns();
   if (kn_index < 0 || kn_index >= static_cast<int>(active.size())) return;
-  KnSim* victim = active[kn_index];
-  victim->failed = true;
-
+  const uint64_t victim = active[kn_index];
+  DINOMO_CHECK(protocol_.FailKn(victim).ok());
   // Detection + recovery: the M-node merges the failed KN's pending log
   // segments and repartitions ownership (§3.5, "Fault tolerance").
   engine_.ScheduleAfter(kFailureDetectUs, [this, victim] {
-    const double now = engine_.now_us();
-    double done = now + kReconfigOverheadUs;
-    for (auto& ws : victim->workers) {
-      for (int n = 0; n < pool_->num_nodes(); ++n) {
-        if (!pool_->alive(n)) continue;
-        Status st = pool_->node(n)->DrainOwner(ws->worker->log_owner());
-        DINOMO_CHECK(st.ok());
-        pool_->node(n)->ReleaseOwnerSegments(ws->worker->log_owner());
-      }
+    Status st = protocol_.RecoverKn(victim);
+    if (!st.ok()) {
+      DINOMO_LOG_STREAM(Error) << "kn recovery failed: " << st.ToString();
     }
-    routing_.RemoveKn(victim->kn_id);
-    if (options_.variant == SystemVariant::kDinomoN) {
-      auto table = routing_.Snapshot();
-      auto stats =
-          MigratePartitionData(pool_->node(0), victim->kn_id, *table);
-      DINOMO_CHECK(stats.ok());
-      done = std::max(done, link_.Reserve(now, stats.value().bytes_moved));
-      done = std::max(done,
-                      dpm_pool_.Reserve(now, stats.value().keys_moved *
-                                                 kMigratePerKeyUs));
-      done = std::max(done,
-                      now + stats.value().bytes_moved * kMigrateUsPerByte);
-      for (auto& other : kns_) {
-        if (!other->failed) {
-          other->unavailable_until =
-              std::max(other->unavailable_until, done);
-        }
-      }
-    }
-    PushRouting();
-    policy_.NoteMembershipChange(now / 1e6);
+    DINOMO_CHECK(st.ok());
   });
 }
 
 void DinomoSim::DoDpmKill(int node) {
   const double killed_at = engine_.now_us();
-  // The node dies NOW: the pool marks it dead, promotes each of its
-  // ranges' mirrors (ring removal), drains the survivors' merge queues and
-  // bumps the placement generation. Every worker re-resolves segment homes
-  // (FailoverRecover) at its next op; RPCs stamped with the old generation
-  // bounce as Unavailable, which the closed loop retries.
-  Status killed = pool_->KillNode(node);
+  // The node dies NOW and its ranges' mirrors are promoted. Every worker
+  // re-resolves segment homes (FailoverRecover) at its next op; RPCs
+  // stamped with the old generation bounce as Unavailable, which the
+  // drivers retry.
+  Status killed = protocol_.KillDpm(node);
   if (!killed.ok()) {
     DINOMO_LOG_STREAM(Warn) << "dpm kill skipped: " << killed.ToString();
     return;
   }
   if (injector_ != nullptr) injector_->NoteDpmFailStopEnacted();
-
-  // Detection + recovery, mirroring Cluster::KillDpm: the M-node notices
-  // after kFailureDetectUs, quiesces the KNs, collapses shared keys,
-  // re-replicates, and resumes everyone once the modeled repair is done.
+  // The M-node notices after kFailureDetectUs and runs the recovery.
   engine_.ScheduleAfter(kFailureDetectUs, [this, killed_at] {
-    const double now = engine_.now_us();
-    // The engine is single-threaded, so draining every worker's log here
-    // gives ReReplicate the quiescence it requires.
-    for (auto& k : kns_) {
-      if (k->failed) continue;
-      for (auto& ws : k->workers) {
-        Status st = ws->worker->DrainLog();
-        if (!st.ok() && !st.IsBusy()) {
-          DINOMO_LOG_STREAM(Warn) << "post-kill drain failed: " << st.ToString();
-        }
-      }
+    Status st = protocol_.RecoverDpm(killed_at);
+    if (!st.ok()) {
+      DINOMO_LOG_STREAM(Error) << "dpm recovery failed: " << st.ToString();
     }
-    // Shared keys are collapsed conservatively (their slots and shared
-    // writes were primary-only); the M-node re-replicates hot keys later.
-    auto table = routing_.Snapshot();
-    for (const auto& [key_hash, owners] : table->replicated) {
-      const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
-      if (pl.primary >= 0 && pool_->alive(pl.primary)) {
-        Status st = pool_->node(pl.primary)->RemoveIndirect(0, key_hash);
-        (void)st;  // NotFound when the slot died with its node
-      }
-      routing_.ClearReplication(key_hash);
-    }
-    auto repair = pool_->ReReplicate();
-    if (!repair.ok()) {
-      DINOMO_LOG_STREAM(Error) << "re-replication failed: "
-                               << repair.status().ToString();
-    }
-    DINOMO_CHECK(repair.ok());
-    double done = now + kReconfigOverheadUs;
-    if (repair.value().bytes_copied > 0) {
-      done = std::max(done, link_.Reserve(now, repair.value().bytes_copied));
-      done = std::max(
-          done, dpm_pool_.Reserve(
-                    now, repair.value().entries_copied * kRepairPerEntryUs));
-    }
-    for (auto& k : kns_) {
-      if (k->failed) continue;
-      k->unavailable_until = std::max(k->unavailable_until, done);
-    }
-    PushRouting();
-    pool_->NoteRecoveryWindow(done - killed_at);
+    DINOMO_CHECK(st.ok());
   });
+}
+
+// ----- Runtime -----
+
+uint64_t DinomoSim::StartKn() {
+  auto kn_sim = std::make_unique<KnSim>();
+  kn_sim->kn_id = next_kn_id_++;
+  kn::KnOptions kno = options_.kn;
+  kno.kn_id = kn_sim->kn_id;
+  kno.fabric_node = static_cast<int>(kn_sim->kn_id % net::Fabric::kMaxNodes);
+  for (int w = 0; w < options_.kn.num_workers; ++w) {
+    auto ws = std::make_unique<WorkerSim>();
+    ws->worker = std::make_unique<kn::KnWorker>(kno, w, pool_.get());
+    kn_sim->workers.push_back(std::move(ws));
+  }
+  kns_.push_back(std::move(kn_sim));
+  return kns_.back()->kn_id;
+}
+
+void DinomoSim::StopKn(uint64_t kn_id) {
+  KnSim* k = FindKn(kn_id);
+  if (k != nullptr) k->failed = true;  // departed
+}
+
+void DinomoSim::FailKn(uint64_t kn_id) { StopKn(kn_id); }
+
+double DinomoSim::Occupancy(uint64_t kn_id, double, double epoch_us) {
+  // The timing model's core occupancy, not the workers' CPU estimate.
+  KnSim* k = FindKn(kn_id);
+  const double per_worker_us = epoch_us * k->workers.size();
+  const double occupancy =
+      per_worker_us > 0 ? std::min(1.0, k->busy_us_epoch / per_worker_us)
+                        : 0.0;
+  k->busy_us_epoch = 0.0;
+  return occupancy;
+}
+
+void DinomoSim::RunOnWorkers(uint64_t kn_id,
+                             const std::function<void(kn::KnWorker*)>& fn) {
+  KnSim* k = FindKn(kn_id);
+  if (k == nullptr || k->failed) return;
+  for (auto& ws : k->workers) fn(ws->worker.get());
+}
+
+double DinomoSim::Quiesce(const std::vector<uint64_t>& kn_ids) {
+  const double now = engine_.now_us();
+  for (uint64_t id : kn_ids) {
+    RunOnWorkers(id, [](kn::KnWorker* w) {
+      kn::OpResult r = w->FlushWrites();
+      (void)r;  // Busy leaves the batch buffered; it flushes on resume
+    });
+  }
+  // Synchronous merge of every runnable batch, charged to the DPM
+  // processors. A batch already executing finishes at its own event.
+  double done = now + kReconfigOverheadUs;
+  for (int n = 0; n < pool_->num_nodes(); ++n) {
+    dpm::MergeService* merge = pool_->node(n)->merge();
+    dpm::MergeTask task;
+    while (merge->TryDequeue(&task)) {
+      done = std::max(done, dpm_pool_.Reserve(now, merge->Execute(task)));
+      merge->Finish(task);
+    }
+  }
+  return done;
+}
+
+void DinomoSim::Resume(const std::vector<uint64_t>& kn_ids, double ready_us) {
+  for (uint64_t id : kn_ids) {
+    KnSim* k = FindKn(id);
+    if (k == nullptr || k->failed) continue;
+    k->unavailable_until = std::max(k->unavailable_until, ready_us);
+  }
+}
+
+double DinomoSim::SettleMerges(const std::function<bool(uint64_t)>&) {
+  return engine_.now_us();
+}
+
+double DinomoSim::ChargeMigration(const MigrationStats& moved) {
+  const double now = engine_.now_us();
+  double done = now + kReconfigOverheadUs;
+  done = std::max(done, link_.Reserve(now, moved.bytes_moved));
+  done = std::max(done,
+                  dpm_pool_.Reserve(now, moved.keys_moved * kMigratePerKeyUs));
+  return std::max(done, now + moved.bytes_moved * kMigrateUsPerByte);
+}
+
+Status DinomoSim::AdminRpc(const std::function<Status()>& rpc) {
+  // Virtual time stands still inside an event: retry transient
+  // rejections back to back.
+  Status st = rpc();
+  for (int attempt = 1; attempt < 6 && IsTransient(st); ++attempt) st = rpc();
+  return st;
+}
+
+double DinomoSim::ChargeRepair(const dpm::DpmPool::RepairStats& repair) {
+  const double now = engine_.now_us();
+  double done = now + kReconfigOverheadUs;
+  if (repair.bytes_copied > 0) {
+    done = std::max(done, link_.Reserve(now, repair.bytes_copied));
+    done = std::max(done, dpm_pool_.Reserve(
+                              now, repair.entries_copied * kRepairPerEntryUs));
+  }
+  return done;
 }
 
 }  // namespace sim

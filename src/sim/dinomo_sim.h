@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "cluster/routing.h"
-#include "core/cluster.h"
+#include "core/reconfig.h"
 #include "dpm/dpm_node.h"
 #include "dpm/dpm_pool.h"
 #include "kn/kn_worker.h"
@@ -87,10 +87,12 @@ struct DinomoSimOptions {
 /// The paper's DINOMO / DINOMO-S / DINOMO-N systems under the
 /// discrete-event engine: real KnWorker / DpmNode / cache / index code,
 /// virtual time. Used by the Figure-5/6/7/8 and Table-6 harnesses.
-class DinomoSim {
+/// Reconfigurations run the shared §3.5 protocol (ReconfigProtocol); this
+/// class is its virtual-time Runtime.
+class DinomoSim : private Runtime {
  public:
   explicit DinomoSim(const DinomoSimOptions& options);
-  ~DinomoSim();
+  ~DinomoSim() override;
 
   DinomoSim(const DinomoSim&) = delete;
   DinomoSim& operator=(const DinomoSim&) = delete;
@@ -101,10 +103,6 @@ class DinomoSim {
   dpm::DpmPool* pool() { return pool_.get(); }
   /// Non-null iff options.faults was non-empty.
   net::FaultInjector* fault_injector() { return injector_.get(); }
-  /// Closed-loop ops abandoned after exhausting their retry budget
-  /// (prolonged outages only; the chaos harness inspects this).
-  uint64_t abandoned_ops() const { return abandoned_ops_; }
-
   /// Loads spec.record_count records (no virtual time elapses) and
   /// settles all merges. Caches end up warm, as after the paper's load +
   /// warm-up phase.
@@ -124,9 +122,11 @@ class DinomoSim {
 
   /// Post-warmup average throughput in Mops/s.
   double ThroughputMops() const;
-  double AvgLatencyUs() const { return run_latency_.Average(); }
-  double P99LatencyUs() const { return run_latency_.P99(); }
-  const WindowStats& windows() const { return windows_; }
+  double AvgLatencyUs() const {
+    return closed_stats_.intended_latency.Average();
+  }
+  double P99LatencyUs() const { return closed_stats_.intended_latency.P99(); }
+  const WindowStats& windows() const { return closed_stats_.windows; }
 
   /// Restarts the profile window: fabric round-trip counters, worker op
   /// counters, and cache hit/miss stats all reset to zero (warm state —
@@ -148,23 +148,12 @@ class DinomoSim {
   };
   Profile CollectProfile() const;
 
-  double LinkUtilization(double elapsed_us) const {
-    return link_.Utilization(elapsed_us);
-  }
-  double DpmUtilization(double elapsed_us) const {
-    return dpm_pool_.Utilization(elapsed_us);
-  }
-
   // ----- Elasticity experiment hooks (Figures 6-8) -----
 
   /// Changes the number of active closed-loop client threads at `at_us`.
   void ScheduleLoadChange(double at_us, int client_threads);
   /// Fail-stop kills the idx-th active KN at `at_us`.
   void ScheduleKill(double at_us, int kn_index);
-  /// Fail-stop kills DPM pool node `node` at `at_us`: mirror promotion,
-  /// KN failover recovery, and (after the detection delay) a modeled
-  /// re-replication + routing round, exactly like Cluster::KillDpm.
-  void ScheduleDpmKill(double at_us, int node);
   /// Switches every client's workload spec at `at_us` (e.g. Zipf 0.5 ->
   /// Zipf 2 for the load-balancing experiment).
   void ScheduleWorkloadChange(double at_us, const workload::WorkloadSpec& s);
@@ -223,7 +212,11 @@ class DinomoSim {
 
   int NumActiveKns() const;
   /// KN ids currently serving.
-  std::vector<uint64_t> ActiveKnIds() const;
+  std::vector<uint64_t> ActiveKns() const override;
+
+  /// The reconfiguration protocol this sim's elasticity hooks drive. Calls
+  /// enact at the current virtual time (no failure-detection delay).
+  ReconfigProtocol* protocol() { return &protocol_; }
 
  private:
   struct WorkerSim {
@@ -236,6 +229,7 @@ class DinomoSim {
   struct KnSim {
     uint64_t kn_id = 0;
     std::vector<std::unique_ptr<WorkerSim>> workers;
+    /// Fail-stopped or departed: serves nothing more.
     bool failed = false;
     /// Requests are rejected (Unavailable) until this time
     /// (reconfiguration windows).
@@ -248,36 +242,41 @@ class DinomoSim {
     bool active = false;
     /// Ops this stream currently has in flight (≤ pipeline_depth).
     int in_flight = 0;
-    /// Traces of sampled in-flight ops (one per op with depth > 1; spans
-    /// survive reschedules: Busy parks and routing retries become wait
-    /// spans). Owned here so teardown can end them while the virtual
-    /// clock is still installed; the op closures hold raw pointers.
-    std::vector<std::unique_ptr<obs::TraceContext>> traces;
   };
 
-  void AddKnInternal(bool available);
-  KnSim* FindKn(uint64_t kn_id);
-  void PushRouting();
+  /// Stream index of an op that arrived from the open-loop source.
+  static constexpr int kOpenLoop = -1;
 
-  /// One in-flight open-loop op. Held by shared_ptr in the engine's event
-  /// closures so retries and completions share its mutable state.
-  struct OpenOp {
+  /// One in-flight op of either driver: a closed-loop stream (which
+  /// issues its next op on completion) or an open-loop arrival. Held by
+  /// shared_ptr in the engine events that retry and complete it.
+  struct InflightOp {
     workload::WorkloadOp op;
+    int stream = kOpenLoop;
+    /// Closed loop: issue time. Open loop: intended arrival time.
     double intended_us = 0.0;
     /// When the attempt that finally got served was dispatched.
     double dispatch_us = 0.0;
     int attempt = 0;
-    obs::TraceContext* trace = nullptr;  // owned by open_traces_
+    obs::TraceContext* trace = nullptr;  // owned by traces_
   };
 
+  KnSim* FindKn(uint64_t kn_id);
+  /// Installs `injector` (nullptr = none) into every DPM node and fabric.
+  void InstallInjector(net::FaultInjector* injector);
+
+  /// Closed-loop source: tops the stream's window back up.
   void IssueNext(int stream_idx);
-  void ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
-                 double issue_time, int attempt, obs::TraceContext* trace);
-  void CompleteOp(int stream_idx, double issue_time, double finish,
-                  obs::TraceContext* trace);
-  /// Shared service core of both driver loops: routes the op, runs the
-  /// real worker code, applies the timing model, and returns the finish
-  /// time. Any disposition that cannot serve now (empty ring, dead KN,
+  /// Samples a trace for a new op and dispatches it.
+  void Launch(std::shared_ptr<InflightOp> op);
+  /// Serves `op` now, or leaves it to the retry TryServe scheduled.
+  void Dispatch(const std::shared_ptr<InflightOp>& op);
+  void Complete(const InflightOp& op, double finish);
+  /// Ends a sampled op's trace and drops it from traces_.
+  void ReleaseTrace(obs::TraceContext* trace);
+  /// Service core of the driver: routes the op, runs the real worker
+  /// code, applies the timing model, and returns the finish time. Any
+  /// disposition that cannot serve now (empty ring, dead KN,
   /// reconfiguration window, Busy park, wrong owner) schedules `retry`
   /// itself and returns a negative value. `async_worker` selects the
   /// pipelined-server occupancy model (worker core busy for the CPU
@@ -288,23 +287,30 @@ class DinomoSim {
   void PumpMerges();
   void OnMergeFinished(const dpm::MergeAck& ack);
 
-  // Open-loop internals.
-  void OpenScheduleNextArrival();
-  void OpenIssue(const load::TimedOp& timed);
-  void OpenExecute(std::shared_ptr<OpenOp> op);
-  void OpenComplete(const std::shared_ptr<OpenOp>& op, double finish);
-  void OpenDropTrace(obs::TraceContext* trace);
+  void ScheduleNextArrival();
   void AutoscalerEval();
 
-  // M-node actions in virtual time.
   void MnodeEpoch();
-  void DoAddKn();
-  void DoRemoveKn(uint64_t kn_id);
-  void DoReplicate(uint64_t key_hash, int replication);
-  void DoDereplicate(uint64_t key_hash);
   void DoKill(int kn_index);
   void DoDpmKill(int node);
-  mnode::ClusterMetrics CollectEpochMetrics();
+
+  // Runtime: virtual time. A protocol call runs inside one engine event,
+  // so a KN is unavailable exactly from now until the ready time Resume
+  // sets.
+  double NowUs() override { return engine_.now_us(); }
+  uint64_t StartKn() override;
+  void StopKn(uint64_t kn_id) override;
+  void FailKn(uint64_t kn_id) override;
+  double Occupancy(uint64_t kn_id, double worker_busy_us,
+                   double epoch_us) override;
+  void RunOnWorkers(uint64_t kn_id,
+                    const std::function<void(kn::KnWorker*)>& fn) override;
+  double Quiesce(const std::vector<uint64_t>& kn_ids) override;
+  void Resume(const std::vector<uint64_t>& kn_ids, double ready_us) override;
+  double SettleMerges(const std::function<bool(uint64_t)>& which) override;
+  double ChargeMigration(const MigrationStats& moved) override;
+  double ChargeRepair(const dpm::DpmPool::RepairStats& repair) override;
+  Status AdminRpc(const std::function<Status()>& rpc) override;
 
   DinomoSimOptions options_;
   obs::Tracer* tracer_;        // options.tracer or the global one
@@ -320,8 +326,7 @@ class DinomoSim {
   // nodes that hold raw pointers to it.
   std::unique_ptr<net::FaultInjector> injector_;
   std::unique_ptr<dpm::DpmPool> pool_;
-  cluster::RoutingService routing_;
-  mnode::PolicyEngine policy_;
+  ReconfigProtocol protocol_;
 
   LinkModel link_;
   PoolModel dpm_pool_;
@@ -331,33 +336,32 @@ class DinomoSim {
 
   std::vector<Stream> streams_;
   uint64_t salt_ = 0;
+  /// Traces of sampled in-flight ops of both drivers. Owned here so
+  /// teardown can end them while the virtual clock is still installed;
+  /// InflightOp holds raw pointers. Spans survive reschedules: Busy parks
+  /// and routing retries become wait spans.
+  std::vector<std::unique_ptr<obs::TraceContext>> traces_;
 
-  WindowStats windows_;
-  Histogram run_latency_;    // post-warmup
-  Histogram epoch_latency_;  // since last policy epoch
+  /// The closed loop's counters, in the open loop's shape (its latency
+  /// basis is the issue time); kept across runs.
+  OpenLoopStats closed_stats_;
+  /// Latency since the last control-plane evaluation (M-node epoch or
+  /// autoscaler window), either driver.
+  Histogram interval_latency_;
   double warmup_until_ = 0.0;
   double run_until_ = 0.0;
-  uint64_t completed_after_warmup_ = 0;
 
   bool mnode_enabled_ = false;
   double epoch_started_ = 0.0;
-  uint64_t abandoned_ops_ = 0;
 
   // Open-loop run state (live only inside RunOpenLoop).
   load::TrafficSource* open_source_ = nullptr;
   std::unique_ptr<OpenLoopStats> open_stats_;
   std::string open_value_;
-  double open_run_until_ = 0.0;
-  double open_warmup_until_ = 0.0;
   bool open_exhausted_ = true;
-  uint64_t open_in_flight_ = 0;
-  /// Traces of sampled in-flight open-loop ops (see Stream::traces for
-  /// the ownership rationale).
-  std::vector<std::unique_ptr<obs::TraceContext>> open_traces_;
   std::unique_ptr<mnode::SloAutoscaler> autoscaler_;
   double autoscaler_interval_us_ = 0.0;
-  /// Intended-basis latency + arrivals since the last autoscaler eval.
-  Histogram open_interval_latency_;
+  /// Arrivals since the last autoscaler eval.
   uint64_t open_interval_offered_ = 0;
 };
 

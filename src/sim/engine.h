@@ -87,7 +87,6 @@ class LinkModel {
   double Utilization(double elapsed_us) const {
     return elapsed_us > 0 ? busy_us_ / elapsed_us : 0.0;
   }
-  void ResetBusy() { busy_us_ = 0.0; }
 
  private:
   double bytes_per_us_;
@@ -116,20 +115,12 @@ class PoolModel {
     return next_free_[best];
   }
 
-  /// Earliest time any server becomes free.
-  double EarliestFree() const {
-    double best = next_free_[0];
-    for (double t : next_free_) best = std::min(best, t);
-    return best;
-  }
-
   int size() const { return static_cast<int>(next_free_.size()); }
   double busy_us() const { return busy_us_; }
   double Utilization(double elapsed_us) const {
     return elapsed_us > 0 ? busy_us_ / (elapsed_us * next_free_.size())
                           : 0.0;
   }
-  void ResetBusy() { busy_us_ = 0.0; }
 
  private:
   std::vector<double> next_free_;
