@@ -210,7 +210,8 @@ int main(int argc, char** argv) {
       st.offered > 0 ? static_cast<double>(st.completed) / st.offered : 0.0;
   std::printf(
       "\noffered=%llu completed=%llu (%.1f%%) abandoned=%llu in_flight_at_end=%llu\n"
-      "intended p50/p99/p999 = %.0f / %.0f / %.0f us   service p99 = %.0f us\n"
+      "intended p50/p99/p999 = %.0f / %.0f / %.0f us   service p99 = %.0f us"
+      "   queue wait p99 = %.0f us\n"
       "SLO(p99<%.0fus) violation seconds = %.2f (before spike: %.2f)\n"
       "KNs: base=%d peak=%d final=%d  scale_ups=%d scale_downs=%d\n",
       static_cast<unsigned long long>(st.offered),
@@ -218,7 +219,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(st.abandoned),
       static_cast<unsigned long long>(st.in_flight_at_end),
       st.intended_latency.P50(), st.intended_latency.P99(),
-      st.intended_latency.P999(), st.service_latency.P99(), cfg.p99_slo_us,
+      st.intended_latency.P999(), st.service_latency.P99(),
+      st.queue_wait.P99(), cfg.p99_slo_us,
       violation_s, violation_before_spike_s, cfg.base_kns, peak_kns,
       sim.NumActiveKns(), st.scale_ups, st.scale_downs);
 
@@ -245,6 +247,7 @@ int main(int argc, char** argv) {
           .Set("intended_p99_us", st.intended_latency.P99())
           .Set("intended_p999_us", st.intended_latency.P999())
           .Set("service_p99_us", st.service_latency.P99())
+          .Set("queue_wait_p99_us", st.queue_wait.P99())
           .Set("slo_violation_s", violation_s)
           .Set("slo_violation_s_before_spike", violation_before_spike_s)
           .Set("peak_kns", peak_kns)

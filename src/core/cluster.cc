@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <functional>
-#include <future>
 #include <utility>
 
 #include "common/logging.h"
@@ -26,8 +24,8 @@ void SpinFor(double us) {
 Status RetryTransientRpc(const std::function<Status()>& rpc) {
   Backoff backoff(BackoffOptions{50.0, 2'000.0, 2.0, 0.5}, /*seed=*/11);
   Status st = rpc();
-  for (int attempt = 1; attempt < 6; ++attempt) {
-    if (st.ok() || !IsTransient(st)) break;
+  for (int attempt = 1;
+       attempt < Runtime::kAdminRpcAttempts && IsTransient(st); ++attempt) {
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::micro>(backoff.NextDelayUs()));
     st = rpc();
@@ -378,24 +376,13 @@ bool Client::OpFuture::done() {
 
 namespace {
 
-ClusterOptions WithVariant(ClusterOptions opt) {
-  ApplyVariant(opt.variant, &opt.dpm, &opt.kn);
-  return opt;
-}
-
-std::unique_ptr<dpm::DpmPool> MakePool(const ClusterOptions& opt) {
-  dpm::DpmPoolOptions pool_opts;
-  pool_opts.nodes = opt.dpm_nodes;
-  pool_opts.replication_factor = opt.replication_factor;
-  pool_opts.dpm = opt.dpm;
-  return std::make_unique<dpm::DpmPool>(pool_opts);
-}
 
 }  // namespace
 
 Cluster::Cluster(const ClusterOptions& options)
     : options_(WithVariant(options)),
-      pool_(MakePool(options_)),
+      pool_(MakeDpmPool(options_.dpm_nodes, options_.replication_factor,
+                        options_.dpm)),
       protocol_(this, pool_.get(), options_.variant, options_.kn.num_workers,
                 options_.policy) {}
 
@@ -415,10 +402,7 @@ Status Cluster::Start() {
     // Real-thread runtime: injected delays cost wall-clock time, so the
     // paths under test experience them, not just the latency model.
     injector_->set_sleep_on_delay(true);
-    for (int i = 0; i < pool_->num_nodes(); ++i) {
-      pool_->node(i)->fabric()->SetFaultInjector(injector_.get());
-      pool_->node(i)->SetFaultInjector(injector_.get());
-    }
+    SetFaultInjector(pool_.get(), injector_.get());
     fault_running_ = true;
     fault_thread_ = std::thread([this] { FaultEnactorLoop(); });
   }
@@ -473,10 +457,7 @@ void Cluster::Stop() {
       for (auto& [id, node] : kns_) leaked += node->in_flight();
     }
     injector_->NoteHungRequests(static_cast<uint64_t>(leaked));
-    for (int i = 0; i < pool_->num_nodes(); ++i) {
-      pool_->node(i)->fabric()->SetFaultInjector(nullptr);
-      pool_->node(i)->SetFaultInjector(nullptr);
-    }
+    SetFaultInjector(pool_.get(), nullptr);
   }
 }
 
@@ -504,11 +485,7 @@ double Cluster::NowUs() {
 }
 
 uint64_t Cluster::StartKn() {
-  uint64_t id = 0;
-  {
-    MutexLock lock(kns_mu_);
-    id = next_kn_id_++;
-  }
+  const uint64_t id = next_kn_id_.fetch_add(1);
   kn::KnOptions kno = options_.kn;
   kno.kn_id = id;
   kno.fabric_node = static_cast<int>(id % net::Fabric::kMaxNodes);
@@ -521,24 +498,16 @@ uint64_t Cluster::StartKn() {
 }
 
 void Cluster::StopKn(uint64_t kn_id) {
-  std::unique_ptr<kn::KvsNode> node;
-  {
-    MutexLock lock(kns_mu_);
-    auto it = kns_.find(kn_id);
-    if (it == kns_.end()) return;
-    node = std::move(it->second);
-    kns_.erase(it);
-  }
+  kn::KvsNode* node = kn(kn_id);
+  if (node == nullptr) return;
   node->Stop();
+  MutexLock lock(kns_mu_);
+  kns_.erase(kn_id);
 }
 
 void Cluster::FailKn(uint64_t kn_id) {
   kn::KvsNode* node = kn(kn_id);
   if (node != nullptr) node->Fail();
-}
-
-double Cluster::Occupancy(uint64_t, double worker_busy_us, double epoch_us) {
-  return epoch_us > 0 ? std::min(1.0, worker_busy_us / epoch_us) : 0.0;
 }
 
 void Cluster::RunOnWorkers(uint64_t kn_id,
@@ -569,16 +538,6 @@ void Cluster::Resume(const std::vector<uint64_t>& kn_ids, double) {
   }
 }
 
-// The merge threads finish every dequeued batch on their own, and the
-// data movement below already took its wall-clock time.
-double Cluster::SettleMerges(const std::function<bool(uint64_t)>&) {
-  return NowUs();
-}
-double Cluster::ChargeMigration(const MigrationStats&) { return NowUs(); }
-double Cluster::ChargeRepair(const dpm::DpmPool::RepairStats&) {
-  return NowUs();
-}
-
 Status Cluster::AdminRpc(const std::function<Status()>& rpc) {
   return RetryTransientRpc(rpc);
 }
@@ -597,15 +556,12 @@ Status Cluster::RemoveKn(uint64_t kn_id) {
 
 Status Cluster::KillKn(uint64_t kn_id) {
   MutexLock admin(admin_mu_);
-  DINOMO_RETURN_IF_ERROR(protocol_.FailKn(kn_id));
-  return protocol_.RecoverKn(kn_id);
+  return protocol_.KillKn(kn_id);
 }
 
 Status Cluster::KillDpm(int node) {
   MutexLock admin(admin_mu_);
-  const double killed_at = NowUs();
-  DINOMO_RETURN_IF_ERROR(protocol_.KillDpm(node));
-  return protocol_.RecoverDpm(killed_at);
+  return protocol_.KillDpm(node);
 }
 
 Status Cluster::ReplicateKeyHash(uint64_t key_hash, int replication) {

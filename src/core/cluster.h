@@ -1,6 +1,7 @@
 #ifndef DINOMO_CORE_CLUSTER_H_
 #define DINOMO_CORE_CLUSTER_H_
 
+#include <atomic>
 #include <chrono>
 #include <deque>
 #include <map>
@@ -301,15 +302,10 @@ class Cluster : private Runtime {
   uint64_t StartKn() override;
   void StopKn(uint64_t kn_id) override;
   void FailKn(uint64_t kn_id) override;
-  double Occupancy(uint64_t kn_id, double worker_busy_us,
-                   double epoch_us) override;
   void RunOnWorkers(uint64_t kn_id,
                     const std::function<void(kn::KnWorker*)>& fn) override;
   double Quiesce(const std::vector<uint64_t>& kn_ids) override;
   void Resume(const std::vector<uint64_t>& kn_ids, double ready_us) override;
-  double SettleMerges(const std::function<bool(uint64_t)>& which) override;
-  double ChargeMigration(const MigrationStats& moved) override;
-  double ChargeRepair(const dpm::DpmPool::RepairStats& repair) override;
   Status AdminRpc(const std::function<Status()>& rpc) override;
 
   void MnodeLoop();
@@ -332,7 +328,7 @@ class Cluster : private Runtime {
   ReconfigProtocol protocol_;
   mutable Mutex kns_mu_;
   std::map<uint64_t, std::unique_ptr<kn::KvsNode>> kns_ GUARDED_BY(kns_mu_);
-  uint64_t next_kn_id_ GUARDED_BY(kns_mu_) = 1;
+  std::atomic<uint64_t> next_kn_id_{1};
 
   Mutex latency_mu_;
   Histogram latency_hist_ GUARDED_BY(latency_mu_);

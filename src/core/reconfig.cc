@@ -4,6 +4,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "common/backoff.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "dpm/log.h"
@@ -21,15 +22,44 @@ bool AnyOwner(uint64_t) { return true; }
 
 }  // namespace
 
-void ApplyVariant(SystemVariant variant, dpm::DpmOptions* dpm,
-                  kn::KnOptions* kn) {
-  if (variant == SystemVariant::kDinomoN) {
-    dpm->partitioned_metadata = true;
-    kn->dinomo_n = true;
+std::unique_ptr<dpm::DpmPool> MakeDpmPool(int nodes, int replication_factor,
+                                          const dpm::DpmOptions& dpm) {
+  dpm::DpmPoolOptions options;
+  options.nodes = nodes;
+  options.replication_factor = replication_factor;
+  options.dpm = dpm;
+  return std::make_unique<dpm::DpmPool>(options);
+}
+
+void SetFaultInjector(dpm::DpmPool* pool, net::FaultInjector* injector) {
+  for (int i = 0; i < pool->num_nodes(); ++i) {
+    pool->node(i)->fabric()->SetFaultInjector(injector);
+    pool->node(i)->SetFaultInjector(injector);
   }
-  if (variant == SystemVariant::kDinomoS) {
-    kn->policy = kn::CachePolicyKind::kShortcutOnly;
+}
+
+Status Runtime::OnFailureDetected(std::function<Status()> recover) {
+  return recover();
+}
+
+double Runtime::Occupancy(uint64_t, double worker_busy_us, double epoch_us) {
+  return epoch_us > 0 ? std::min(1.0, worker_busy_us / epoch_us) : 0.0;
+}
+double Runtime::SettleMerges(const std::function<bool(uint64_t)>&) {
+  return NowUs();
+}
+double Runtime::ChargeMigration(uint64_t, uint64_t) { return NowUs(); }
+double Runtime::ChargeRepair(const dpm::DpmPool::RepairStats&) {
+  return NowUs();
+}
+
+Status Runtime::AdminRpc(const std::function<Status()>& rpc) {
+  Status st = rpc();
+  for (int attempt = 1; attempt < kAdminRpcAttempts && IsTransient(st);
+       ++attempt) {
+    st = rpc();
   }
+  return st;
 }
 
 ReconfigProtocol::ReconfigProtocol(Runtime* runtime, dpm::DpmPool* pool,
@@ -46,20 +76,16 @@ void ReconfigProtocol::PushRouting() {
   auto table = routing_.Snapshot();
   for (uint64_t id : rt_->ActiveKns()) {
     rt_->RunOnWorkers(id, [table, id](kn::KnWorker* w) {
-      w->SetRouting(table);
       // Empty exactly the partitions this KN no longer owns (§3.4: "the
-      // current owner empties its cache").
-      w->cache()->InvalidateIf([&table, id](uint64_t key_hash) {
+      // current owner empties its cache"). Same for the index-metadata
+      // cache: a pointer for a range this KN no longer owns could
+      // otherwise resurface stale when the range comes back.
+      auto not_owned = [&table, id](uint64_t key_hash) {
         return !table->IsOwner(key_hash, id);
-      });
-      // Same hand-off rule for the index-metadata cache: a pointer for a
-      // range this KN no longer owns could otherwise resurface stale when
-      // the range comes back.
-      if (w->icache() != nullptr) {
-        w->icache()->InvalidateIf([&table, id](uint64_t key_hash) {
-          return !table->IsOwner(key_hash, id);
-        });
-      }
+      };
+      w->SetRouting(table);
+      w->cache()->InvalidateIf(not_owned);
+      if (w->icache() != nullptr) w->icache()->InvalidateIf(not_owned);
     });
   }
 }
@@ -71,103 +97,105 @@ void ReconfigProtocol::InvalidateKey(uint64_t kn_id, uint64_t key_hash) {
   });
 }
 
-Result<double> ReconfigProtocol::Migrate(const std::vector<uint64_t>& from) {
-  // DINOMO-N clamps the pool to one node.
+Status ReconfigProtocol::Reorganize(const std::vector<uint64_t>& from,
+                                    const std::vector<uint64_t>& stalled,
+                                    double ready_us) {
+  if (variant_ != SystemVariant::kDinomoN) return Status::Ok();
+  // Every entry in a leaver's private index whose primary owner under the
+  // new mapping is another KN is re-logged under that owner's partition
+  // and removed from the source: the data copying shared-data DINOMO
+  // avoids (§3.4/§5.3). DINOMO-N clamps the pool to one node.
   dpm::DpmNode* dpm = pool_->node(0);
   auto table = routing_.Snapshot();
-  MigrationStats stats;
+  uint64_t bytes = 0;
+  uint64_t keys = 0;
   for (uint64_t from_kn : from) {
-    DINOMO_RETURN_IF_ERROR(MovePartition(dpm, from_kn, *table, &stats));
-  }
-  return rt_->ChargeMigration(stats);
-}
-
-Status ReconfigProtocol::MovePartition(dpm::DpmNode* dpm, uint64_t from_kn,
-                                       const cluster::RoutingTable& table,
-                                       MigrationStats* stats) {
-  index::Clht* from_index = dpm->IndexFor(from_kn);
-  struct Moved {
-    uint64_t key_hash;
-    pm::PmPtr value;
-  };
-  // Group the moved keys by their new owner so whole segments fill up.
-  std::map<uint64_t, std::vector<Moved>> by_dest;
-  from_index->ForEach([&](uint64_t key_hash, pm::PmPtr value) {
-    const uint64_t owner = table.PrimaryOwner(key_hash);
-    if (owner != from_kn && !dpm::ValuePtr(value).indirect()) {
-      by_dest[owner].push_back({key_hash, value});
-    }
-  });
-
-  const size_t header = pm::kCacheLineSize;
-  const size_t seg_capacity = dpm->options().segment_size - header;
-  for (const auto& [dest, moved] : by_dest) {
-    const uint64_t dst_owner = dest << 8;  // worker 0's log
-    const int dst_node = static_cast<int>(dest % net::Fabric::kMaxNodes);
-    pm::PmPtr segment = pm::kNullPmPtr;
-    size_t seg_used = 0;
-    dpm::LogBuilder batch;
-    rt_->SettleMerges([dst_owner](uint64_t o) { return o == dst_owner; });
-
-    auto flush = [&]() -> Status {
-      if (batch.entries() == 0) return Status::Ok();
-      if (segment == pm::kNullPmPtr ||
-          seg_used + batch.bytes() > seg_capacity) {
-        if (segment != pm::kNullPmPtr) {
-          DINOMO_RETURN_IF_ERROR(rt_->AdminRpc(
-              [&] { return dpm->SealSegment(dst_node, dst_owner, segment); }));
-        }
-        DINOMO_RETURN_IF_ERROR(rt_->AdminRpc([&] {
-          auto seg = dpm->AllocateSegment(dst_node, dst_owner);
-          if (seg.ok()) segment = seg.value();
-          return seg.status();
-        }));
-        seg_used = 0;
-      }
-      const pm::PmPtr dst = segment + header + seg_used;
-      // Two-phase append: payload persisted before the final commit
-      // marker, so a crash mid-copy never exposes a torn batch tail.
-      DINOMO_RETURN_IF_ERROR(dpm::AppendBatchPm(dpm->pool(), dst,
-                                                batch.data(), batch.bytes()));
-      DINOMO_RETURN_IF_ERROR(rt_->AdminRpc([&] {
-        return dpm
-            ->SubmitBatch(dst_node, dst_owner, segment, dst, batch.bytes(),
-                          batch.puts())
-            .status();
-      }));
-      seg_used += batch.bytes();
-      stats->bytes_moved += batch.bytes();
-      batch.Clear();
-      // Keep the unmerged backlog bounded (reorganization is synchronous
-      // anyway — that is exactly why it is expensive).
-      return dpm->DrainOwner(dst_owner);
+    index::Clht* from_index = dpm->IndexFor(from_kn);
+    struct Moved {
+      uint64_t key_hash;
+      pm::PmPtr value;
     };
-
-    for (const Moved& m : moved) {
-      dpm::ValuePtr vp(m.value);
-      const char* entry = dpm->pool()->Translate(vp.offset());
-      dpm::LogRecord rec;
-      size_t consumed = 0;
-      DINOMO_RETURN_IF_ERROR(
-          dpm::DecodeEntry(entry, vp.entry_size(), &rec, &consumed));
-      const size_t need =
-          dpm::EncodedEntrySize(rec.key.size(), rec.value.size());
-      if (batch.bytes() + need > seg_capacity ||
-          batch.bytes() >= 256 * 1024) {
-        DINOMO_RETURN_IF_ERROR(flush());
+    // Group the moved keys by their new owner so whole segments fill up.
+    std::map<uint64_t, std::vector<Moved>> by_dest;
+    from_index->ForEach([&](uint64_t key_hash, pm::PmPtr value) {
+      const uint64_t owner = table->PrimaryOwner(key_hash);
+      if (owner != from_kn && !dpm::ValuePtr(value).indirect()) {
+        by_dest[owner].push_back({key_hash, value});
       }
-      batch.AddPut(0, rec.key_hash, rec.key, rec.value);
-      stats->keys_moved++;
-    }
-    DINOMO_RETURN_IF_ERROR(flush());
+    });
 
-    // Remove the moved keys from the source partition only after the
-    // destination has them merged (no window where neither index serves
-    // the key).
-    for (const Moved& m : moved) {
-      DINOMO_RETURN_IF_ERROR(from_index->Remove(m.key_hash).status());
+    const size_t header = pm::kCacheLineSize;
+    const size_t seg_capacity = dpm->options().segment_size - header;
+    for (const auto& [dest, moved] : by_dest) {
+      const uint64_t dst_owner = dest << 8;  // worker 0's log
+      const int dst_node = static_cast<int>(dest % net::Fabric::kMaxNodes);
+      pm::PmPtr segment = pm::kNullPmPtr;
+      size_t seg_used = 0;
+      dpm::LogBuilder batch;
+      rt_->SettleMerges([dst_owner](uint64_t o) { return o == dst_owner; });
+
+      auto flush = [&]() -> Status {
+        if (batch.entries() == 0) return Status::Ok();
+        if (segment == pm::kNullPmPtr ||
+            seg_used + batch.bytes() > seg_capacity) {
+          if (segment != pm::kNullPmPtr) {
+            DINOMO_RETURN_IF_ERROR(rt_->AdminRpc([&] {
+              return dpm->SealSegment(dst_node, dst_owner, segment);
+            }));
+          }
+          DINOMO_RETURN_IF_ERROR(rt_->AdminRpc([&] {
+            auto seg = dpm->AllocateSegment(dst_node, dst_owner);
+            if (seg.ok()) segment = seg.value();
+            return seg.status();
+          }));
+          seg_used = 0;
+        }
+        const pm::PmPtr dst = segment + header + seg_used;
+        // Two-phase append: payload persisted before the final commit
+        // marker, so a crash mid-copy never exposes a torn batch tail.
+        DINOMO_RETURN_IF_ERROR(
+            dpm::AppendBatchPm(dpm->pool(), dst, batch.data(), batch.bytes()));
+        DINOMO_RETURN_IF_ERROR(rt_->AdminRpc([&] {
+          return dpm
+              ->SubmitBatch(dst_node, dst_owner, segment, dst, batch.bytes(),
+                            batch.puts())
+              .status();
+        }));
+        seg_used += batch.bytes();
+        bytes += batch.bytes();
+        batch.Clear();
+        // Keep the unmerged backlog bounded (reorganization is synchronous
+        // anyway — that is exactly why it is expensive).
+        return dpm->DrainOwner(dst_owner);
+      };
+
+      for (const Moved& m : moved) {
+        dpm::ValuePtr vp(m.value);
+        const char* entry = dpm->pool()->Translate(vp.offset());
+        dpm::LogRecord rec;
+        size_t consumed = 0;
+        DINOMO_RETURN_IF_ERROR(
+            dpm::DecodeEntry(entry, vp.entry_size(), &rec, &consumed));
+        const size_t need =
+            dpm::EncodedEntrySize(rec.key.size(), rec.value.size());
+        if (batch.bytes() + need > seg_capacity ||
+            batch.bytes() >= 256 * 1024) {
+          DINOMO_RETURN_IF_ERROR(flush());
+        }
+        batch.AddPut(0, rec.key_hash, rec.key, rec.value);
+        keys++;
+      }
+      DINOMO_RETURN_IF_ERROR(flush());
+
+      // Remove the moved keys from the source partition only after the
+      // destination has them merged (no window where neither index serves
+      // the key).
+      for (const Moved& m : moved) {
+        DINOMO_RETURN_IF_ERROR(from_index->Remove(m.key_hash).status());
+      }
     }
   }
+  rt_->Resume(stalled, std::max(ready_us, rt_->ChargeMigration(bytes, keys)));
   return Status::Ok();
 }
 
@@ -183,26 +211,19 @@ void ReconfigProtocol::Bootstrap(int kns) {
 
 Result<uint64_t> ReconfigProtocol::AddKn() {
   // Steps 1-3: every KN that loses a range participates.
-  std::vector<uint64_t> participants = rt_->ActiveKns();
-  double ready = rt_->Quiesce(participants);
+  std::vector<uint64_t> kns = rt_->ActiveKns();
+  const double ready = rt_->Quiesce(kns);
   // Step 4: the new KN joins and the new mapping is published.
   const uint64_t id = rt_->StartKn();
   routing_.AddKn(id);
-  Status migrated = Status::Ok();
-  if (variant_ == SystemVariant::kDinomoN) {
-    // Physical data reorganization: the stall the paper shows in Fig 6.
-    auto done = Migrate(participants);
-    if (done.ok()) {
-      ready = std::max(ready, done.value());
-    } else {
-      migrated = done.status();
-    }
-  }
-  // Steps 5-7: push the mapping; everyone, the new KN included, resumes.
   PushRouting();
-  participants.push_back(id);
-  rt_->Resume(participants, ready);
-  if (!migrated.ok()) return migrated;
+  const std::vector<uint64_t> losers = kns;
+  kns.push_back(id);
+  // DINOMO-N moves the data while everyone is still quiesced (the stall
+  // the paper shows in Fig 6). Steps 5-7: everyone resumes.
+  Status st = Reorganize(losers, kns, ready);
+  rt_->Resume(kns, ready);
+  if (!st.ok()) return st;
   return id;
 }
 
@@ -216,24 +237,17 @@ Status ReconfigProtocol::RemoveKn(uint64_t kn_id) {
   const double ready = rt_->Quiesce({kn_id});
   routing_.RemoveKn(kn_id);
   rt_->StopKn(kn_id);
-  Status migrated = Status::Ok();
-  if (variant_ == SystemVariant::kDinomoN) {
-    // The gainers stall while the departed partition reorganizes.
-    auto done = Migrate({kn_id});
-    if (done.ok()) {
-      rt_->Resume(survivors, std::max(ready, done.value()));
-    } else {
-      migrated = done.status();
-    }
-  }
+  // DINOMO-N: the gainers stall while the departed partition moves; the
+  // mapping is pushed only once the data is where it says.
+  Status st = Reorganize({kn_id}, survivors, ready);
   PushRouting();
-  return migrated;
+  return st;
 }
 
-Status ReconfigProtocol::FailKn(uint64_t kn_id) {
+Status ReconfigProtocol::KillKn(uint64_t kn_id) {
   if (!Contains(rt_->ActiveKns(), kn_id)) return Status::NotFound("unknown KN");
   rt_->FailKn(kn_id);
-  return Status::Ok();
+  return rt_->OnFailureDetected([this, kn_id] { return RecoverKn(kn_id); });
 }
 
 Status ReconfigProtocol::RecoverKn(uint64_t kn_id) {
@@ -251,78 +265,70 @@ Status ReconfigProtocol::RecoverKn(uint64_t kn_id) {
   }
   routing_.RemoveKn(kn_id);
   rt_->StopKn(kn_id);
-  Status migrated = Status::Ok();
-  if (variant_ == SystemVariant::kDinomoN) {
-    auto done = Migrate({kn_id});
-    if (done.ok()) {
-      rt_->Resume(rt_->ActiveKns(), std::max(ready, done.value()));
-    } else {
-      migrated = done.status();
-    }
-  }
+  Status st = Reorganize({kn_id}, rt_->ActiveKns(), ready);
   PushRouting();
   policy_.NoteMembershipChange(rt_->NowUs() / 1e6);
-  return migrated;
+  return st;
 }
 
 Status ReconfigProtocol::KillDpm(int node) {
+  const double killed_at = rt_->NowUs();
   // The pool drains every survivor's merge queues while promoting.
   rt_->SettleMerges(AnyOwner);
-  return pool_->KillNode(node);
+  DINOMO_RETURN_IF_ERROR(pool_->KillNode(node));
+  return rt_->OnFailureDetected(
+      [this, killed_at] { return RecoverDpm(killed_at); });
 }
 
 Status ReconfigProtocol::RecoverDpm(double killed_at_us) {
   // Quiesce every KN. A flush re-resolves placement first (the generation
-  // moved), so buffered entries re-bin to the promoted owners.
+  // moved), so buffered entries re-bin to the promoted owners. The KNs
+  // resume even if a step below fails: a wedged quiesce would turn one
+  // dead DPM node into a whole-cluster outage.
   const std::vector<uint64_t> participants = rt_->ActiveKns();
   double ready = rt_->Quiesce(participants);
-  // ReReplicate copies from the primaries' indexes: every flushed batch
-  // must be merged into them first.
-  ready = std::max(ready, rt_->SettleMerges(AnyOwner));
-  for (int n = 0; n < pool_->num_nodes(); ++n) {
-    if (!pool_->alive(n)) continue;
-    Status drained = pool_->node(n)->merge()->DrainAll();
-    if (!drained.ok()) {
-      rt_->Resume(participants, ready);
-      return drained;
-    }
-  }
-  // Shared (selectively replicated) keys are collapsed conservatively:
-  // their indirect slots lived in a single node's pool and their shared
-  // writes were primary-only, so a membership change invalidates the
-  // scheme wholesale. The M-node re-replicates hot keys afterwards.
-  auto table = routing_.Snapshot();
-  for (const auto& [key_hash, owners] : table->replicated) {
-    const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
-    if (pl.primary >= 0 && pool_->alive(pl.primary)) {
-      dpm::DpmNode* home = pool_->node(pl.primary);
-      const uint64_t kh = key_hash;
-      Status removed =
-          rt_->AdminRpc([home, kh] { return home->RemoveIndirect(0, kh); });
-      if (!removed.ok() && !removed.IsNotFound()) {
-        DINOMO_LOG_STREAM(Warn)
-            << "collapse of replicated key failed: " << removed.ToString();
+  dpm::DpmPool::RepairStats repair;
+  Status st = [&]() -> Status {
+    // ReReplicate copies from the primaries' indexes: every flushed batch
+    // must be merged into them first.
+    ready = std::max(ready, rt_->SettleMerges(AnyOwner));
+    for (int n = 0; n < pool_->num_nodes(); ++n) {
+      if (pool_->alive(n)) {
+        DINOMO_RETURN_IF_ERROR(pool_->node(n)->merge()->DrainAll());
       }
     }
-    routing_.ClearReplication(key_hash);
-  }
-  // Restore the mirror count while the KNs are quiescent. The repair is
-  // idempotent, so transient faults inside it are waited out like any
-  // admin RPC. If it still fails the KNs resume regardless: a wedged
-  // quiesce would turn one dead DPM node into a whole-cluster outage.
-  dpm::DpmPool::RepairStats repair;
-  Status repaired = rt_->AdminRpc([this, &repair] {
-    auto r = pool_->ReReplicate();
-    if (r.ok()) repair = r.value();
-    return r.status();
-  });
-  if (!repaired.ok()) {
-    rt_->Resume(participants, ready);
-    return repaired;
-  }
-  ready = std::max(ready, rt_->ChargeRepair(repair));
-  PushRouting();
+    // Shared (selectively replicated) keys are collapsed conservatively:
+    // their indirect slots lived in a single node's pool and their shared
+    // writes were primary-only, so a membership change invalidates the
+    // scheme wholesale. The M-node re-replicates hot keys afterwards.
+    for (const auto& [key_hash, owners] : routing_.Snapshot()->replicated) {
+      const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
+      if (pl.primary >= 0 && pool_->alive(pl.primary)) {
+        dpm::DpmNode* home = pool_->node(pl.primary);
+        const uint64_t kh = key_hash;
+        Status removed =
+            rt_->AdminRpc([home, kh] { return home->RemoveIndirect(0, kh); });
+        if (!removed.ok() && !removed.IsNotFound()) {
+          DINOMO_LOG_STREAM(Warn)
+              << "collapse of replicated key failed: " << removed.ToString();
+        }
+      }
+      routing_.ClearReplication(key_hash);
+    }
+    // Restore the mirror count while the KNs are quiescent. The repair is
+    // idempotent, so transient faults inside it are waited out like any
+    // admin RPC.
+    DINOMO_RETURN_IF_ERROR(rt_->AdminRpc([this, &repair] {
+      auto r = pool_->ReReplicate();
+      if (r.ok()) repair = r.value();
+      return r.status();
+    }));
+    ready = std::max(ready, rt_->ChargeRepair(repair));
+    PushRouting();
+    return Status::Ok();
+  }();
   rt_->Resume(participants, ready);
+  if (!st.ok()) return st;
   const double window_us = std::max(ready, rt_->NowUs()) - killed_at_us;
   pool_->NoteRecoveryWindow(window_us);
   DINOMO_LOG_STREAM(Info) << "dpm recovery: re-replicated "
@@ -376,8 +382,8 @@ Status ReconfigProtocol::Dereplicate(uint64_t key_hash) {
   const double ready = rt_->Quiesce(owners);
   for (uint64_t id : owners) InvalidateKey(id, key_hash);
   dpm::DpmNode* home = pool_->node(pool_->PlacementOf(key_hash).primary);
-  Status st =
-      rt_->AdminRpc([home, key_hash] { return home->RemoveIndirect(0, key_hash); });
+  Status st = rt_->AdminRpc(
+      [home, key_hash] { return home->RemoveIndirect(0, key_hash); });
   if (st.ok() || st.IsNotFound()) {
     st = Status::Ok();
     routing_.ClearReplication(key_hash);
@@ -398,15 +404,11 @@ mnode::ClusterMetrics ReconfigProtocol::CollectMetrics(Histogram* latency,
   double std_sum = 0.0;
   int workers = 0;
   for (uint64_t id : rt_->ActiveKns()) {
-    Mutex mu;
-    std::vector<kn::WorkerStats> per_worker;
-    rt_->RunOnWorkers(id, [&mu, &per_worker](kn::KnWorker* w) {
-      kn::WorkerStats stats = w->SnapshotStats(/*reset=*/true);
-      MutexLock lock(mu);
-      per_worker.push_back(std::move(stats));
-    });
+    Mutex mu;  // workers may report concurrently
     double busy_us = 0.0;
-    for (const kn::WorkerStats& stats : per_worker) {
+    rt_->RunOnWorkers(id, [&](kn::KnWorker* w) {
+      const kn::WorkerStats stats = w->SnapshotStats(/*reset=*/true);
+      MutexLock lock(mu);
       busy_us += stats.busy_us;
       for (const auto& [key, count] : stats.hot_keys) {
         key_counts[key] += count;
@@ -414,7 +416,7 @@ mnode::ClusterMetrics ReconfigProtocol::CollectMetrics(Histogram* latency,
       mean_sum += stats.key_freq_mean;
       std_sum += stats.key_freq_stddev;
       workers++;
-    }
+    });
     metrics.occupancy[id] = rt_->Occupancy(id, busy_us, epoch_us);
   }
   if (workers > 0) {
@@ -435,28 +437,29 @@ mnode::ClusterMetrics ReconfigProtocol::CollectMetrics(Histogram* latency,
 
 mnode::PolicyAction ReconfigProtocol::RunPolicy(
     const mnode::ClusterMetrics& metrics, double now_s) {
+  using Kind = mnode::PolicyAction::Kind;
   const mnode::PolicyAction action = policy_.Evaluate(metrics, now_s);
   Status st = Status::Ok();
   switch (action.kind) {
-    case mnode::PolicyAction::Kind::kAddKn:
+    case Kind::kAddKn:
       st = AddKn().status();
-      if (st.ok()) policy_.NoteMembershipChange(now_s);
       break;
-    case mnode::PolicyAction::Kind::kRemoveKn:
+    case Kind::kRemoveKn:
       st = RemoveKn(action.kn_id);
-      if (st.ok()) policy_.NoteMembershipChange(now_s);
       break;
-    case mnode::PolicyAction::Kind::kReplicateKey:
+    case Kind::kReplicateKey:
       st = Replicate(action.key_hash, action.replication_factor);
       break;
-    case mnode::PolicyAction::Kind::kDereplicateKey:
+    case Kind::kDereplicateKey:
       st = Dereplicate(action.key_hash);
       break;
-    case mnode::PolicyAction::Kind::kNone:
+    case Kind::kNone:
       break;
   }
   if (!st.ok()) {
     DINOMO_LOG_STREAM(Warn) << "policy action failed: " << st.ToString();
+  } else if (action.kind == Kind::kAddKn || action.kind == Kind::kRemoveKn) {
+    policy_.NoteMembershipChange(now_s);  // starts the grace period
   }
   return action;
 }

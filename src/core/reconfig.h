@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "cluster/routing.h"
@@ -11,6 +12,7 @@
 #include "dpm/dpm_pool.h"
 #include "kn/kn_worker.h"
 #include "mnode/policy.h"
+#include "net/fault.h"
 
 namespace dinomo {
 
@@ -22,21 +24,34 @@ enum class SystemVariant {
   kDinomoN,  // shared-nothing: partitioned data/metadata, no replication
 };
 
-/// Result of a DINOMO-N data reorganization.
-struct MigrationStats {
-  uint64_t keys_moved = 0;
-  uint64_t bytes_moved = 0;
-};
+/// A runtime's options with the variant's fixed DPM and KN settings
+/// applied.
+template <typename Options>
+Options WithVariant(Options opt) {
+  if (opt.variant == SystemVariant::kDinomoN) {
+    opt.dpm.partitioned_metadata = true;
+    opt.kn.dinomo_n = true;
+  }
+  if (opt.variant == SystemVariant::kDinomoS) {
+    opt.kn.policy = kn::CachePolicyKind::kShortcutOnly;
+  }
+  return opt;
+}
 
-/// Applies a variant's fixed settings to the DPM and KN templates.
-void ApplyVariant(SystemVariant variant, dpm::DpmOptions* dpm,
-                  kn::KnOptions* kn);
+/// The DPM pool both runtimes build from their options.
+std::unique_ptr<dpm::DpmPool> MakeDpmPool(int nodes, int replication_factor,
+                                          const dpm::DpmOptions& dpm);
+/// Installs `injector` (nullptr = none) into every DPM node and fabric.
+void SetFaultInjector(dpm::DpmPool* pool, net::FaultInjector* injector);
 
 /// What the reconfiguration protocol needs from a runtime. The
 /// real-thread `Cluster` implements it on the wall clock, `DinomoSim` on
 /// virtual time; every timing decision lives behind this interface.
 class Runtime {
  public:
+  /// Attempts per control-plane RPC before a transient rejection sticks.
+  static constexpr int kAdminRpcAttempts = 6;
+
   virtual ~Runtime() = default;
 
   /// Current time on the runtime's clock (wall or virtual), us.
@@ -51,10 +66,6 @@ class Runtime {
   /// Fail-stop: the KN stops serving at once and its DRAM state (cache,
   /// un-flushed batches) is lost.
   virtual void FailKn(uint64_t kn_id) = 0;
-  /// Fraction of the last `epoch_us` the KN was busy, given its workers'
-  /// reported busy time; restarts the runtime's own busy count, if any.
-  virtual double Occupancy(uint64_t kn_id, double worker_busy_us,
-                           double epoch_us) = 0;
   /// Runs `fn` on every worker of a serving KN (possibly concurrently);
   /// returns when all ran it.
   virtual void RunOnWorkers(uint64_t kn_id,
@@ -67,19 +78,32 @@ class Runtime {
   /// `ready_us` on.
   virtual void Resume(const std::vector<uint64_t>& kn_ids,
                       double ready_us) = 0;
+
+  // Hooks with defaults for a runtime whose clock already advanced
+  // through the work (wall time): no charge beyond now.
+
+  /// Runs `recover` once the M-node has detected a failure: at once
+  /// (returning its status) by default, after the modeled detection delay
+  /// in virtual time.
+  virtual Status OnFailureDetected(std::function<Status()> recover);
+  /// Fraction of the last `epoch_us` the KN was busy, given its workers'
+  /// reported busy time.
+  virtual double Occupancy(uint64_t kn_id, double worker_busy_us,
+                           double epoch_us);
   /// Called before the protocol drains the merge queues of the owners
   /// `which` selects synchronously on this thread: completes any of their
   /// batches the runtime has dequeued but not finished, so the drain
   /// cannot wait on itself. Returns the time those batches finish.
-  virtual double SettleMerges(const std::function<bool(uint64_t)>& which) = 0;
-  /// Charges a DINOMO-N data reorganization; returns when it is done.
-  virtual double ChargeMigration(const MigrationStats& moved) = 0;
+  virtual double SettleMerges(const std::function<bool(uint64_t)>& which);
+  /// Charges a DINOMO-N reorganization that moved `keys` entries of
+  /// `bytes` in total; returns when it is done.
+  virtual double ChargeMigration(uint64_t bytes, uint64_t keys);
   /// Charges the re-replication repair after a DPM fail-stop; returns
   /// when it is done.
-  virtual double ChargeRepair(const dpm::DpmPool::RepairStats& repair) = 0;
-  /// Issues one admin-path DPM RPC (the wall-clock runtime waits out
-  /// transient rejections).
-  virtual Status AdminRpc(const std::function<Status()>& rpc) = 0;
+  virtual double ChargeRepair(const dpm::DpmPool::RepairStats& repair);
+  /// Issues one control-plane DPM RPC, retrying transient rejections
+  /// (back to back by default).
+  virtual Status AdminRpc(const std::function<Status()>& rpc);
 };
 
 /// The ownership-transfer protocol of §3.5, written once for both
@@ -103,18 +127,15 @@ class ReconfigProtocol {
   Result<uint64_t> AddKn();
   /// Gracefully removes a KN (scale-in).
   Status RemoveKn(uint64_t kn_id);
-  /// Fail-stops a KN. RecoverKn runs the failure handling once the
-  /// failure is detected.
-  Status FailKn(uint64_t kn_id);
-  /// Merges the dead KN's pending log segments, releases them, and
-  /// repartitions its ranges among the survivors.
-  Status RecoverKn(uint64_t kn_id);
+  /// Fail-stops a KN. Once the failure is detected, its pending log
+  /// segments merge and are released, and its ranges repartition among
+  /// the survivors.
+  Status KillKn(uint64_t kn_id);
   /// Fail-stops DPM node `node`: the pool promotes each of its ranges'
-  /// mirrors. RecoverDpm restores service once the failure is detected.
+  /// mirrors at once. Once the failure is detected, every KN quiesces,
+  /// shared keys collapse, the mirror count is restored, and the recovery
+  /// window is published.
   Status KillDpm(int node);
-  /// Quiesces every KN, collapses shared keys, re-replicates, and resumes;
-  /// publishes the recovery window measured from `killed_at_us`.
-  Status RecoverDpm(double killed_at_us);
   /// Replicates a hot key's ownership across `replication` KNs.
   Status Replicate(uint64_t key_hash, int replication);
   /// Collapses a key back to a single owner.
@@ -129,20 +150,16 @@ class ReconfigProtocol {
                                 double now_s);
 
  private:
+  Status RecoverKn(uint64_t kn_id);
+  Status RecoverDpm(double killed_at_us);
   /// Pushes the current mapping to every serving KN, each emptying its
   /// caches of the ranges it no longer owns.
   void PushRouting();
-  /// DINOMO-N: moves the entries of `from` whose owner changed under the
-  /// current mapping. Returns when the charged copy is done.
-  Result<double> Migrate(const std::vector<uint64_t>& from);
-  /// Physically reorganizes one DINOMO-N partition: every entry in
-  /// `from_kn`'s private index whose primary owner under `table` is a
-  /// different KN is re-logged under that owner's partition and removed
-  /// from the source. This is the data copying that shared-data DINOMO
-  /// avoids during reconfiguration (§3.4/§5.3).
-  Status MovePartition(dpm::DpmNode* dpm, uint64_t from_kn,
-                       const cluster::RoutingTable& table,
-                       MigrationStats* stats);
+  /// DINOMO-N only: moves the entries of `from` whose owner changed under
+  /// the current mapping; `stalled` serve again only once the charged
+  /// copy is done (and never before `ready_us`).
+  Status Reorganize(const std::vector<uint64_t>& from,
+                    const std::vector<uint64_t>& stalled, double ready_us);
   void InvalidateKey(uint64_t kn_id, uint64_t key_hash);
 
   Runtime* rt_;

@@ -89,11 +89,12 @@ bool SearchLayerCache::Rebuild(net::Fabric* fabric, int fabric_node,
 }
 
 pm::PmPtr SearchLayerCache::Seek(uint64_t start_okey) const {
-  // Last entry with okey <= start_okey (starting AT an equal node is fine:
-  // scans include their start key and the walk re-checks okeys).
-  auto it = std::upper_bound(
+  // Last entry with okey < start_okey. The scan's leaf walk starts at the
+  // returned node's successor, so a node whose okey equals the start must
+  // not be returned: its own row would be skipped.
+  auto it = std::lower_bound(
       entries_.begin(), entries_.end(), start_okey,
-      [](uint64_t k, const Entry& e) { return k < e.okey; });
+      [](const Entry& e, uint64_t k) { return e.okey < k; });
   if (it == entries_.begin()) return head_;
   return std::prev(it)->node;
 }

@@ -47,7 +47,8 @@ class SearchLayerCache {
                    uint64_t generation);
 
   /// Best cached start for a scan: the cached node with the greatest
-  /// okey <= start_okey, or the list head when none qualifies.
+  /// okey < start_okey (a strict predecessor: the leaf walk begins after
+  /// it), or the list head when none qualifies.
   pm::PmPtr Seek(uint64_t start_okey) const;
 
   bool valid() const { return valid_; }

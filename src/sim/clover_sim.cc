@@ -9,15 +9,10 @@ namespace dinomo {
 namespace sim {
 
 CloverSim::CloverSim(const CloverSimOptions& options)
-    : options_(options),
-      metrics_(obs::Scope("sim.clover", options.metrics)),
-      op_latency_us_(metrics_.histogram("op_latency_us")),
-      throughput_mops_(metrics_.gauge("throughput_mops")),
-      link_utilization_(metrics_.gauge("link.utilization")),
-      ms_utilization_(metrics_.gauge("ms_pool.utilization")),
-      link_(options.clover.link_profile.bandwidth_gbps),
-      ms_pool_(options.clover.ms_workers),
-      windows_(options.stats_window_us) {
+    : Driver(options, "sim.clover", "ms_pool.utilization",
+             options.clover.link_profile, options.clover.ms_workers,
+             /*pipeline_depth=*/1, /*tracer=*/nullptr),
+      options_(options) {
   if (options_.metrics != nullptr) {
     options_.clover.metrics = options_.metrics;
   }
@@ -35,21 +30,6 @@ CloverSim::CloverSim(const CloverSimOptions& options)
     }
     kns_.push_back(std::move(kn_sim));
   }
-  streams_.resize(options_.client_threads);
-  for (int i = 0; i < options_.client_threads; ++i) {
-    streams_[i].gen = std::make_unique<workload::WorkloadGenerator>(
-        options_.spec, options_.seed + i);
-  }
-}
-
-CloverSim::~CloverSim() = default;
-
-int CloverSim::NumActiveKns() const {
-  int n = 0;
-  for (const auto& k : kns_) {
-    if (!k->failed) n++;
-  }
-  return n;
 }
 
 void CloverSim::Preload() {
@@ -67,24 +47,11 @@ void CloverSim::Preload() {
 }
 
 void CloverSim::Run(double duration_us, double warmup_us) {
-  const double now = engine_.now_us();
-  run_until_ = now + duration_us;
-  warmup_until_ = now + warmup_us;
   if (!gc_running_) {
     gc_running_ = true;
     engine_.ScheduleAfter(options_.gc_interval_us, [this] { GcTick(); });
   }
-  for (int i = 0; i < static_cast<int>(streams_.size()); ++i) {
-    if (!streams_[i].active) {
-      streams_[i].active = true;
-      IssueNext(i);
-    }
-  }
-  engine_.RunUntil(run_until_);
-  const double elapsed = engine_.now_us();
-  throughput_mops_.Set(ThroughputMops());
-  link_utilization_.Set(link_.Utilization(elapsed));
-  ms_utilization_.Set(ms_pool_.Utilization(elapsed));
+  Driver::Run(duration_us, warmup_us);
 }
 
 void CloverSim::GcTick() {
@@ -96,21 +63,11 @@ void CloverSim::GcTick() {
   }
 }
 
-void CloverSim::IssueNext(int stream_idx) {
-  Stream& s = streams_[stream_idx];
-  if (!s.active || engine_.now_us() >= run_until_) return;
-  const workload::WorkloadOp op = s.gen->Next();
-  ExecuteOp(stream_idx, op, engine_.now_us(), 0);
-}
-
-void CloverSim::ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
-                          double issue_time, int attempt) {
-  if (!streams_[stream_idx].active) return;
+double CloverSim::TryServe(const workload::WorkloadOp& op,
+                           const std::string& put_value, obs::TraceContext*,
+                           bool, const std::function<void()>& retry,
+                           double* start_us) {
   const double now = engine_.now_us();
-  if (attempt > 100) {
-    CompleteOp(stream_idx, issue_time, now);
-    return;
-  }
   // Shared-everything: any KN serves any key; clients spread requests
   // round-robin across the KNs they believe are alive.
   std::vector<KnSim*> routable;
@@ -118,10 +75,7 @@ void CloverSim::ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
     if (k->routable) routable.push_back(k.get());
   }
   if (routable.empty()) {
-    engine_.ScheduleAfter(options_.request_timeout_us, [=, this] {
-      ExecuteOp(stream_idx, op, issue_time, attempt + 1);
-    });
-    return;
+    return RetryAt(now + options_.request_timeout_us, nullptr, retry);
   }
   KnSim* k = routable[salt_ % routable.size()];
   WorkerSim* ws =
@@ -129,10 +83,7 @@ void CloverSim::ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
   salt_++;
   if (k->failed) {
     // Client does not yet know: the request times out first (§5.3).
-    engine_.ScheduleAfter(options_.request_timeout_us, [=, this] {
-      ExecuteOp(stream_idx, op, issue_time, attempt + 1);
-    });
-    return;
+    return RetryAt(now + options_.request_timeout_us, nullptr, retry);
   }
 
   kn::OpResult r;
@@ -142,7 +93,7 @@ void CloverSim::ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
       break;
     case workload::OpType::kUpdate:
     case workload::OpType::kInsert:
-      r = ws->kn->Put(op.key, streams_[stream_idx].gen->Value());
+      r = ws->kn->Put(op.key, put_value);
       break;
     case workload::OpType::kScan:
       // Clover's index is hash-only; the baseline cannot serve the scan
@@ -152,49 +103,13 @@ void CloverSim::ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
       break;
   }
   if (!r.status.ok() && !r.status.IsNotFound()) {
-    engine_.ScheduleAfter(1000.0, [=, this] {
-      ExecuteOp(stream_idx, op, issue_time, attempt + 1);
-    });
-    return;
+    return RetryAt(now + 1000.0, nullptr, retry);
   }
   ops_executed_++;
 
-  const net::LinkProfile& profile = options_.clover.link_profile;
-  const double start = std::max(now, ws->free_until);
-  const double cpu_done = start + r.cpu_us;
-  double after_link = cpu_done;
-  if (r.cost.wire_bytes > 0) {
-    after_link = link_.Reserve(cpu_done, r.cost.wire_bytes);
-  }
-  double finish = after_link + r.cost.round_trips * profile.rt_latency_us +
-                  r.cost.extra_latency_us;
-  if (r.cost.dpm_cpu_us > 0) {
-    // Metadata-server involvement: Clover's scaling bottleneck.
-    finish = std::max(finish,
-                      ms_pool_.Reserve(cpu_done, r.cost.dpm_cpu_us) +
-                          profile.rt_latency_us);
-  }
-  ws->free_until = finish;
-  engine_.ScheduleAt(finish, [=, this] {
-    CompleteOp(stream_idx, issue_time, finish);
-  });
-}
-
-void CloverSim::CompleteOp(int stream_idx, double issue_time,
-                           double finish) {
-  const double latency = finish - issue_time;
-  windows_.Record(finish, latency);
-  if (finish >= warmup_until_) {
-    run_latency_.Add(latency);
-    op_latency_us_.Record(latency);
-    completed_after_warmup_++;
-  }
-  IssueNext(stream_idx);
-}
-
-double CloverSim::ThroughputMops() const {
-  const double span = run_until_ - warmup_until_;
-  return span > 0 ? completed_after_warmup_ / span : 0.0;
+  // Metadata-server involvement (its pool is Clover's scaling
+  // bottleneck); the submit-and-wait worker is busy until the finish.
+  return Serve(r, /*async_worker=*/false, &ws->free_until, start_us);
 }
 
 CloverSim::Profile CloverSim::CollectProfile() const {
@@ -231,37 +146,6 @@ void CloverSim::ScheduleKill(double at_us, int kn_index) {
     // no data reorganization is needed (shared-everything).
     engine_.ScheduleAfter(options_.membership_update_us,
                           [victim] { victim->routable = false; });
-  });
-}
-
-void CloverSim::ScheduleLoadChange(double at_us, int client_threads) {
-  engine_.ScheduleAt(at_us, [this, client_threads] {
-    const int current = static_cast<int>(streams_.size());
-    if (client_threads > current) {
-      for (int i = current; i < client_threads; ++i) {
-        Stream s;
-        s.gen = std::make_unique<workload::WorkloadGenerator>(
-            options_.spec, options_.seed + 7000 + i);
-        s.active = true;
-        streams_.push_back(std::move(s));
-        IssueNext(static_cast<int>(streams_.size()) - 1);
-      }
-    } else {
-      for (int i = client_threads; i < current; ++i) {
-        streams_[i].active = false;
-      }
-    }
-  });
-}
-
-void CloverSim::ScheduleWorkloadChange(double at_us,
-                                       const workload::WorkloadSpec& spec) {
-  engine_.ScheduleAt(at_us, [this, spec] {
-    options_.spec = spec;
-    for (size_t i = 0; i < streams_.size(); ++i) {
-      streams_[i].gen = std::make_unique<workload::WorkloadGenerator>(
-          spec, options_.seed + 5000 + i);
-    }
   });
 }
 

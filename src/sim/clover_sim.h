@@ -1,11 +1,15 @@
 #ifndef DINOMO_SIM_CLOVER_SIM_H_
 #define DINOMO_SIM_CLOVER_SIM_H_
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "clover/clover.h"
 #include "obs/metrics.h"
+#include "sim/driver.h"
 #include "sim/engine.h"
 #include "workload/ycsb.h"
 
@@ -13,28 +17,18 @@ namespace dinomo {
 namespace sim {
 
 /// Configuration of a virtual-time Clover run.
-struct CloverSimOptions {
+struct CloverSimOptions : DriverOptions {
   int num_kns = 4;
   int workers_per_kn = 8;
   clover::CloverOptions clover;
   size_t cache_bytes_per_kn = 16 * 1024 * 1024;
 
-  int client_threads = 64;
-  workload::WorkloadSpec spec;
-
-  double stats_window_us = 100e3;
   /// MS GC pass interval (virtual time). Clover dedicates a GC thread
   /// that cycles continuously; a pass over the hot chains is fast.
   double gc_interval_us = 20e3;
-  double request_timeout_us = 500e3;
   /// Membership-update delay after a failure (paper: Clover updates RNs
   /// in < 68 ms).
   double membership_update_us = 68e3;
-  uint64_t seed = 42;
-
-  /// Registry the sim and the Clover store/KNs publish metrics into;
-  /// nullptr = the process-wide registry.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// The Clover baseline under the discrete-event engine. Shared-everything:
@@ -43,24 +37,16 @@ struct CloverSimOptions {
 /// redundantly, which is exactly why its hit ratio falls as KNs are added
 /// (Table 6). The metadata server is a 4-worker pool; version-chain walks
 /// and MS RPCs consume the shared link and MS CPU.
-class CloverSim {
+class CloverSim : public Driver {
  public:
   explicit CloverSim(const CloverSimOptions& options);
-  ~CloverSim();
 
-  CloverSim(const CloverSim&) = delete;
-  CloverSim& operator=(const CloverSim&) = delete;
-
-  Engine* engine() { return &engine_; }
   clover::CloverStore* store() { return store_.get(); }
 
   void Preload();
+  /// Starts the metadata server's GC loop, then runs the closed loop
+  /// (Driver::Run).
   void Run(double duration_us, double warmup_us = 0.0);
-
-  double ThroughputMops() const;
-  double AvgLatencyUs() const { return run_latency_.Average(); }
-  double P99LatencyUs() const { return run_latency_.P99(); }
-  const WindowStats& windows() const { return windows_; }
 
   struct Profile {
     double cache_hit_ratio = 0.0;
@@ -70,10 +56,11 @@ class CloverSim {
   Profile CollectProfile() const;
 
   void ScheduleKill(double at_us, int kn_index);
-  void ScheduleLoadChange(double at_us, int client_threads);
-  void ScheduleWorkloadChange(double at_us, const workload::WorkloadSpec& s);
 
-  int NumActiveKns() const;
+  int NumActiveKns() const {
+    return static_cast<int>(std::count_if(
+        kns_.begin(), kns_.end(), [](const auto& k) { return !k->failed; }));
+  }
 
  private:
   struct WorkerSim {
@@ -85,38 +72,19 @@ class CloverSim {
     bool failed = false;
     bool routable = true;  // false once clients learned of the failure
   };
-  struct Stream {
-    std::unique_ptr<workload::WorkloadGenerator> gen;
-    bool active = false;
-  };
 
-  void IssueNext(int stream_idx);
-  void ExecuteOp(int stream_idx, const workload::WorkloadOp& op,
-                 double issue_time, int attempt);
-  void CompleteOp(int stream_idx, double issue_time, double finish);
+  double TryServe(const workload::WorkloadOp& op, const std::string& put_value,
+                  obs::TraceContext* trace, bool async_worker,
+                  const std::function<void()>& retry,
+                  double* start_us) override;
   void GcTick();
 
   CloverSimOptions options_;
-  obs::MetricGroup metrics_;  // sim.clover.*
-  obs::HistogramMetric& op_latency_us_;
-  obs::Gauge& throughput_mops_;
-  obs::Gauge& link_utilization_;
-  obs::Gauge& ms_utilization_;
-  Engine engine_;
   std::unique_ptr<clover::CloverStore> store_;
-  LinkModel link_;
-  PoolModel ms_pool_;
 
   std::vector<std::unique_ptr<KnSim>> kns_;
-  std::vector<Stream> streams_;
   uint64_t salt_ = 0;
   uint64_t ops_executed_ = 0;
-
-  WindowStats windows_;
-  Histogram run_latency_;
-  double warmup_until_ = 0.0;
-  double run_until_ = 0.0;
-  uint64_t completed_after_warmup_ = 0;
   bool gc_running_ = false;
 };
 

@@ -1,8 +1,8 @@
 #include "sim/dinomo_sim.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "common/backoff.h"
 #include "common/logging.h"
 
 namespace dinomo {
@@ -24,58 +24,28 @@ constexpr double kMigrateUsPerByte = 1.0 / 180.0;
 // DPM processor time per entry re-encoded + merged during the
 // re-replication repair pass after a DPM fail-stop.
 constexpr double kRepairPerEntryUs = 2.0;
-}  // namespace
 
-namespace {
-
-DinomoSimOptions WithVariant(DinomoSimOptions opt) {
-  ApplyVariant(opt.variant, &opt.dpm, &opt.kn);
+DinomoSimOptions Normalized(DinomoSimOptions opt) {
   if (opt.metrics != nullptr) {
     opt.dpm.metrics = opt.metrics;
     opt.kn.metrics = opt.metrics;
   }
-  return opt;
-}
-
-std::unique_ptr<dpm::DpmPool> MakePool(const DinomoSimOptions& opt) {
-  dpm::DpmPoolOptions pool_opts;
-  pool_opts.nodes = opt.dpm_nodes;
-  pool_opts.replication_factor = opt.replication_factor;
-  pool_opts.dpm = opt.dpm;
-  return std::make_unique<dpm::DpmPool>(pool_opts);
-}
-
-const char* OpName(workload::OpType type) {
-  return type == workload::OpType::kRead   ? "get"
-         : type == workload::OpType::kScan ? "scan"
-                                           : "put";
+  return WithVariant(opt);
 }
 
 }  // namespace
 
 DinomoSim::DinomoSim(const DinomoSimOptions& options)
-    : options_(WithVariant(options)),
-      tracer_(options.tracer != nullptr ? options.tracer
-                                        : &obs::Tracer::Global()),
-      metrics_(obs::Scope("sim.dinomo", options.metrics)),
-      op_latency_us_(metrics_.histogram("op_latency_us")),
-      throughput_mops_(metrics_.gauge("throughput_mops")),
-      link_utilization_(metrics_.gauge("link.utilization")),
-      dpm_utilization_(metrics_.gauge("dpm_pool.utilization")),
-      pool_(MakePool(options_)),
+    : Driver(options, "sim.dinomo", "dpm_pool.utilization",
+             options.dpm.link_profile, options.dpm_threads,
+             options.pipeline_depth,
+             options.tracer != nullptr ? options.tracer
+                                       : &obs::Tracer::Global()),
+      options_(Normalized(options)),
+      pool_(MakeDpmPool(options_.dpm_nodes, options_.replication_factor,
+                        options_.dpm)),
       protocol_(this, pool_.get(), options_.variant, options_.kn.num_workers,
-                options_.policy),
-      link_(options.dpm.link_profile.bandwidth_gbps),
-      dpm_pool_(options.dpm_threads),
-      closed_stats_(options.stats_window_us) {
-  if (tracer_->enabled()) {
-    // Virtual-time tracing: timestamps come from the engine clock, so a
-    // trace replays bit-identically for a given seed. The clock override
-    // is restored in the destructor.
-    trace_pid_ = tracer_->NextProcessId();
-    tracer_->SetClock([this] { return engine_.now_us(); });
-    trace_clock_installed_ = true;
-  }
+                options_.policy) {
   for (int i = 0; i < pool_->num_nodes(); ++i) {
     pool_->node(i)->merge()->SetMergeCallback(
         [this](const dpm::MergeAck& ack) { OnMergeFinished(ack); });
@@ -89,7 +59,7 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
     // identically across runs; delays must never block the sim thread.
     injector_->SetClock([this] { return engine_.now_us(); });
     injector_->set_sleep_on_delay(false);
-    InstallInjector(injector_.get());
+    SetFaultInjector(pool_.get(), injector_.get());
     for (const net::FaultEvent& ev : options_.faults.events) {
       if (ev.kind == net::FaultEvent::Kind::kFailStop) {
         engine_.ScheduleAt(ev.start_us, [this] {
@@ -102,28 +72,23 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
       } else if (ev.kind == net::FaultEvent::Kind::kDpmFailStop) {
         engine_.ScheduleAt(ev.start_us, [this] {
           const int victim = injector_->ClaimDpmFailStop();
-          if (victim >= 0) DoDpmKill(victim);
+          if (victim < 0) return;
+          // Every worker re-resolves segment homes (FailoverRecover) at
+          // its next op; RPCs stamped with the old generation bounce as
+          // Unavailable, which the drivers retry.
+          Status killed = protocol_.KillDpm(victim);
+          if (!killed.ok()) {
+            DINOMO_LOG_STREAM(Warn)
+                << "dpm kill skipped: " << killed.ToString();
+            return;
+          }
+          injector_->NoteDpmFailStopEnacted();
         });
       }
     }
   }
 
   protocol_.Bootstrap(options_.num_kns);
-
-  streams_.resize(options_.client_threads);
-  for (int i = 0; i < options_.client_threads; ++i) {
-    streams_[i].gen = std::make_unique<workload::WorkloadGenerator>(
-        options_.spec, options_.seed + i);
-  }
-}
-
-DinomoSim::~DinomoSim() {
-  if (trace_clock_installed_) {
-    // End in-flight traces while the virtual clock is still installed,
-    // then restore the wall clock for whoever uses the tracer next.
-    traces_.clear();
-    tracer_->SetClock(nullptr);
-  }
 }
 
 DinomoSim::KnSim* DinomoSim::FindKn(uint64_t kn_id) {
@@ -131,14 +96,6 @@ DinomoSim::KnSim* DinomoSim::FindKn(uint64_t kn_id) {
     if (k->kn_id == kn_id) return k.get();
   }
   return nullptr;
-}
-
-int DinomoSim::NumActiveKns() const {
-  int n = 0;
-  for (const auto& k : kns_) {
-    if (!k->failed) n++;
-  }
-  return n;
 }
 
 std::vector<uint64_t> DinomoSim::ActiveKns() const {
@@ -152,7 +109,8 @@ std::vector<uint64_t> DinomoSim::ActiveKns() const {
 void DinomoSim::Preload() {
   // Load-phase traffic is not part of any experiment; suspend injection
   // so the strict load-loop invariants (only Busy rejections) hold.
-  InstallInjector(nullptr);
+  SetFaultInjector(pool_.get(), nullptr);
+  SettleMerges([](uint64_t) { return true; });  // the loop drains owners
   auto table = protocol_.routing()->Snapshot();
   const std::string value(options_.spec.value_size, 'p');
   for (uint64_t rec = 0; rec < options_.spec.record_count; ++rec) {
@@ -196,37 +154,11 @@ void DinomoSim::Preload() {
   }
   // Measurement starts fresh: keep the warm caches, reset the counters.
   ResetProfileWindow();
-  InstallInjector(injector_.get());
-}
-
-void DinomoSim::InstallInjector(net::FaultInjector* injector) {
-  for (int i = 0; i < pool_->num_nodes(); ++i) {
-    pool_->node(i)->fabric()->SetFaultInjector(injector);
-    pool_->node(i)->SetFaultInjector(injector);
-  }
-}
-
-void DinomoSim::Run(double duration_us, double warmup_us) {
-  const double now = engine_.now_us();
-  run_until_ = now + duration_us;
-  warmup_until_ = now + warmup_us;
-  for (int i = 0; i < static_cast<int>(streams_.size()); ++i) {
-    // (Re)prime every stream, not just inactive ones. IssueNext is a
-    // no-op while a stream's window is full, but a stream whose last
-    // completion landed exactly on a previous run's end boundary has an
-    // empty window and no pending event — skipping it here would leave it
-    // silent for the rest of the run.
-    streams_[i].active = true;
-    IssueNext(i);
-  }
-  engine_.RunUntil(run_until_);
-  const double elapsed = engine_.now_us();
-  throughput_mops_.Set(ThroughputMops());
-  link_utilization_.Set(link_.Utilization(elapsed));
-  dpm_utilization_.Set(dpm_pool_.Utilization(elapsed));
+  SetFaultInjector(pool_.get(), injector_.get());
 }
 
 void DinomoSim::DrainLogs() {
+  SettleMerges([](uint64_t) { return true; });
   for (auto& k : kns_) {
     if (k->failed) continue;
     for (auto& ws : k->workers) {
@@ -238,107 +170,29 @@ void DinomoSim::DrainLogs() {
   }
 }
 
-void DinomoSim::IssueNext(int stream_idx) {
-  Stream& s = streams_[stream_idx];
-  // Pipelined closed loop: top the stream's window back up to
-  // pipeline_depth. Depth 1 degenerates to issue-one-await-one.
-  const int depth = std::max(1, options_.pipeline_depth);
-  while (s.active && engine_.now_us() < run_until_ && s.in_flight < depth) {
-    auto op = std::make_shared<InflightOp>();
-    op->op = s.gen->Next();
-    op->stream = stream_idx;
-    op->intended_us = engine_.now_us();
-    s.in_flight++;
-    Launch(std::move(op));
-  }
-}
-
-void DinomoSim::Launch(std::shared_ptr<InflightOp> op) {
-  if (tracer_->ShouldSample()) {
-    traces_.push_back(
-        std::make_unique<obs::TraceContext>(tracer_, OpName(op->op.type)));
-    traces_.back()->set_pid(trace_pid_);
-    op->trace = traces_.back().get();
-  }
-  Dispatch(op);
-}
-
-void DinomoSim::Dispatch(const std::shared_ptr<InflightOp>& op) {
-  const bool closed = op->stream != kOpenLoop;
-  if (closed && !streams_[op->stream].active) {
-    // Deactivated (load change) with this op still rescheduling: drop it
-    // and release its window slot so a later reactivation starts clean.
-    streams_[op->stream].in_flight--;
-    ReleaseTrace(op->trace);
-    return;
-  }
-  const double now = engine_.now_us();
-  if (op->trace != nullptr) op->trace->FlushWait(now);
-  if (op->attempt > 100) {
-    // Give up on this op (e.g. prolonged outage) so neither loop wedges.
-    // A closed-loop stream counts it complete and issues its next op.
-    if (closed) {
-      closed_stats_.abandoned++;
-      Complete(*op, now);
-    } else {
-      open_stats_->abandoned++;
-      ReleaseTrace(op->trace);
-    }
-    return;
-  }
-  // Service latency measures from the dispatch that got served; every
-  // earlier rejected attempt's wait lands only in intended latency.
-  op->dispatch_us = now;
-  auto retry = [this, op] {
-    op->attempt++;
-    Dispatch(op);
-  };
-  const double finish = TryServe(
-      op->op, closed ? streams_[op->stream].gen->Value() : open_value_,
-      op->trace, /*async_worker=*/!closed || options_.pipeline_depth > 1,
-      retry);
-  if (finish < 0) return;
-  engine_.ScheduleAt(finish, [this, op, finish] { Complete(*op, finish); });
-}
-
-void DinomoSim::ReleaseTrace(obs::TraceContext* trace) {
-  if (trace == nullptr) return;
-  for (auto it = traces_.begin(); it != traces_.end(); ++it) {
-    if (it->get() == trace) {
-      traces_.erase(it);  // ~TraceContext ends the request
-      return;
-    }
-  }
-}
-
 double DinomoSim::TryServe(const workload::WorkloadOp& op,
                            const std::string& put_value,
                            obs::TraceContext* trace, bool async_worker,
-                           const std::function<void()>& retry) {
+                           const std::function<void()>& retry,
+                           double* start_us) {
   const double now = engine_.now_us();
   auto table = protocol_.routing()->Snapshot();
   if (table->global_ring.empty()) {
-    if (trace != nullptr) trace->MarkWait(obs::SpanKind::kBackoff, now);
-    engine_.ScheduleAfter(options_.routing_refresh_us, retry);
-    return -1.0;
+    return RetryAt(now + options_.routing_refresh_us, trace, retry);
   }
   const uint64_t kh = kn::KeyHash(op.key);
   const uint64_t kn_id = table->RouteFor(kh, salt_++);
   KnSim* k = FindKn(kn_id);
   if (k == nullptr || k->failed) {
     // Dead node: the request times out, then the client refreshes.
-    const double delay =
-        k == nullptr ? options_.routing_refresh_us : options_.request_timeout_us;
-    if (trace != nullptr) trace->MarkWait(obs::SpanKind::kBackoff, now);
-    engine_.ScheduleAfter(delay, retry);
-    return -1.0;
+    return RetryAt(now + (k == nullptr ? options_.routing_refresh_us
+                                       : options_.request_timeout_us),
+                   trace, retry);
   }
   if (k->unavailable_until > now) {
-    const double at = std::max(now + options_.routing_refresh_us,
-                               k->unavailable_until);
-    if (trace != nullptr) trace->MarkWait(obs::SpanKind::kBackoff, now);
-    engine_.ScheduleAt(at, retry);
-    return -1.0;
+    return RetryAt(
+        std::max(now + options_.routing_refresh_us, k->unavailable_until),
+        trace, retry);
   }
   const int widx = table->ThreadFor(kh, kn_id);
   WorkerSim* ws = k->workers[widx].get();
@@ -388,57 +242,17 @@ double DinomoSim::TryServe(const workload::WorkloadOp& op,
     return -1.0;
   }
   if (r.status.IsWrongOwner() || r.status.IsUnavailable()) {
-    if (trace != nullptr) trace->MarkWait(obs::SpanKind::kBackoff, now);
-    engine_.ScheduleAfter(options_.routing_refresh_us, retry);
-    return -1.0;
+    return RetryAt(now + options_.routing_refresh_us, trace, retry);
   }
 
-  // Time the operation: worker CPU, then the network (latency per round
-  // trip + the shared pipe for payload bytes), plus any DPM processor
-  // time for two-sided ops (same pool as the merge threads).
-  const net::LinkProfile& profile = options_.dpm.link_profile;
-  const double start = std::max(now, ws->free_until);
-  const double cpu_done = start + r.cpu_us;
-  double after_link = cpu_done;
-  if (r.cost.wire_bytes > 0) {
-    after_link = link_.Reserve(cpu_done, r.cost.wire_bytes);
-  }
-  double finish = after_link + r.cost.round_trips * profile.rt_latency_us +
-                  r.cost.extra_latency_us;
-  if (r.cost.dpm_cpu_us > 0) {
-    finish = std::max(
-        finish, dpm_pool_.Reserve(cpu_done, r.cost.dpm_cpu_us) +
-                    profile.rt_latency_us);
-  }
-  // An asynchronously-served op (pipelined closed-loop client, or any
-  // open-loop op) occupies the worker core for its CPU portion only —
-  // round trips ride out while the next queued op executes. The classic
-  // submit-and-wait client holds the worker until its op's network time
-  // has fully elapsed.
-  const double core_free = async_worker ? cpu_done : finish;
-  ws->free_until = core_free;
-  k->busy_us_epoch += core_free - start;
+  // Two-sided DPM work shares the server pool with the merges. An
+  // asynchronously-served op (pipelined closed-loop client, or any
+  // open-loop op) holds the worker core for its CPU portion only; the
+  // classic submit-and-wait client holds it until its network time ends.
+  const double finish =
+      Serve(r, async_worker, &ws->free_until, start_us);
+  k->busy_us_epoch += ws->free_until - *start_us;
   return finish;
-}
-
-void DinomoSim::Complete(const InflightOp& op, double finish) {
-  ReleaseTrace(op.trace);
-  const bool closed = op.stream != kOpenLoop;
-  OpenLoopStats& stats = closed ? closed_stats_ : *open_stats_;
-  stats.completed++;
-  const double latency = finish - op.intended_us;
-  stats.windows.Record(finish, latency);
-  interval_latency_.Add(latency);
-  if (finish >= warmup_until_) {
-    stats.intended_latency.Add(latency);
-    stats.service_latency.Add(finish - op.dispatch_us);
-    stats.completed_after_warmup++;
-    op_latency_us_.Record(latency);
-  }
-  if (closed) {
-    streams_[op.stream].in_flight--;
-    IssueNext(op.stream);
-  }
 }
 
 void DinomoSim::PumpMerges() {
@@ -449,9 +263,15 @@ void DinomoSim::PumpMerges() {
     dpm::MergeTask task;
     while (node->merge()->TryDequeue(&task)) {
       const double cpu = node->merge()->Execute(task);
-      const double done = dpm_pool_.Reserve(engine_.now_us(), cpu);
-      engine_.ScheduleAt(done, [this, node, task] {
-        node->merge()->Finish(task);
+      const double done = servers_.Reserve(engine_.now_us(), cpu);
+      const uint64_t id = next_merge_id_++;
+      merging_.emplace(id, InflightMerge{node, task, done});
+      engine_.ScheduleAt(done, [this, id] {
+        auto it = merging_.find(id);
+        if (it == merging_.end()) return;  // settled early
+        const InflightMerge m = it->second;
+        merging_.erase(it);
+        m.node->merge()->Finish(m.task);
         PumpMerges();
       });
     }
@@ -478,8 +298,9 @@ void DinomoSim::OnMergeFinished(const dpm::MergeAck& ack) {
 void DinomoSim::RunOpenLoop(const OpenLoopOptions& opts, double duration_us,
                             double warmup_us) {
   DINOMO_CHECK(opts.source != nullptr);
-  // The autoscaler consumes the per-epoch occupancy counters that
-  // CollectEpochMetrics also resets; running both would corrupt both.
+  // The autoscaler consumes the per-epoch occupancy counters that the
+  // M-node's metrics collection also resets; running both would corrupt
+  // both.
   DINOMO_CHECK(!opts.autoscale || !mnode_enabled_);
   const double now = engine_.now_us();
   open_source_ = opts.source;
@@ -505,12 +326,7 @@ void DinomoSim::RunOpenLoop(const OpenLoopOptions& opts, double duration_us,
     open_stats_->scale_ups = autoscaler_->scale_ups();
     open_stats_->scale_downs = autoscaler_->scale_downs();
   }
-  const double elapsed = engine_.now_us();
-  const double span = run_until_ - warmup_until_;
-  throughput_mops_.Set(
-      span > 0 ? open_stats_->completed_after_warmup / span : 0.0);
-  link_utilization_.Set(link_.Utilization(elapsed));
-  dpm_utilization_.Set(dpm_pool_.Utilization(elapsed));
+  PublishRunGauges(*open_stats_);
 }
 
 void DinomoSim::ScheduleNextArrival() {
@@ -558,20 +374,16 @@ void DinomoSim::AutoscalerEval() {
     for (int i = 0; i < decision.delta_kns; ++i) (void)protocol_.AddKn();
   } else {
     for (int i = 0; i < -decision.delta_kns; ++i) {
-      // Retire the KN that did the least work since the last eval; its
-      // keys rehash onto the survivors.
-      uint64_t victim = 0;
-      double min_busy = 0.0;
-      bool found = false;
+      // Retire the KN that did the least work since the last eval (the
+      // first such one); its keys rehash onto the survivors.
+      const KnSim* victim = nullptr;
       for (const auto& k : kns_) {
-        if (k->failed) continue;
-        if (!found || k->busy_us_epoch < min_busy) {
-          min_busy = k->busy_us_epoch;
-          victim = k->kn_id;
-          found = true;
+        if (!k->failed && (victim == nullptr ||
+                           k->busy_us_epoch < victim->busy_us_epoch)) {
+          victim = k.get();
         }
       }
-      if (found) (void)protocol_.RemoveKn(victim);
+      if (victim != nullptr) (void)protocol_.RemoveKn(victim->kn_id);
     }
   }
   // Occupancy counters only feed victim choice here; restart them so the
@@ -582,11 +394,6 @@ void DinomoSim::AutoscalerEval() {
     engine_.ScheduleAfter(autoscaler_interval_us_,
                           [this] { AutoscalerEval(); });
   }
-}
-
-double DinomoSim::ThroughputMops() const {
-  const double span = run_until_ - warmup_until_;
-  return span > 0 ? closed_stats_.completed_after_warmup / span : 0.0;
 }
 
 void DinomoSim::ResetProfileWindow() {
@@ -604,90 +411,31 @@ void DinomoSim::ResetProfileWindow() {
 DinomoSim::Profile DinomoSim::CollectProfile() const {
   Profile p;
   uint64_t value_hits = 0;
-  uint64_t shortcut_hits = 0;
-  uint64_t misses = 0;
-  uint64_t ops = 0;
-  for (const auto& k : kns_) {
-    for (const auto& ws : k->workers) {
-      const cache::CacheStats& cs =
-          const_cast<kn::KnWorker*>(ws->worker.get())->cache()->stats();
-      value_hits += cs.value_hits;
-      shortcut_hits += cs.shortcut_hits;
-      misses += cs.misses;
-    }
-  }
-  ops = value_hits + shortcut_hits + misses;
-  p.ops = ops;
-  if (ops > 0) {
-    p.cache_hit_ratio =
-        static_cast<double>(value_hits + shortcut_hits) / ops;
-  }
-  if (value_hits + shortcut_hits > 0) {
-    p.value_hit_share =
-        static_cast<double>(value_hits) / (value_hits + shortcut_hits);
-  }
-  uint64_t rts = 0;
-  for (int n = 0; n < pool_->num_nodes(); ++n) {
-    rts += pool_->node(n)->fabric()->TotalRoundTrips();
-  }
-  // Round trips per *request*; reads and writes both count.
+  uint64_t hits = 0;
   uint64_t requests = 0;
   for (const auto& k : kns_) {
     for (const auto& ws : k->workers) {
-      auto stats =
-          const_cast<kn::KnWorker*>(ws->worker.get())->SnapshotStats(false);
+      const cache::CacheStats& cs = ws->worker->cache()->stats();
+      value_hits += cs.value_hits;
+      hits += cs.value_hits + cs.shortcut_hits;
+      p.ops += cs.value_hits + cs.shortcut_hits + cs.misses;
+      // Round trips per *request*: reads, writes and scans all count.
+      const kn::WorkerStats stats = ws->worker->SnapshotStats(false);
       requests += stats.reads + stats.writes + stats.scans;
       p.scans += stats.scans;
     }
+  }
+  if (p.ops > 0) p.cache_hit_ratio = static_cast<double>(hits) / p.ops;
+  if (hits > 0) p.value_hit_share = static_cast<double>(value_hits) / hits;
+  uint64_t rts = 0;
+  for (int n = 0; n < pool_->num_nodes(); ++n) {
+    rts += pool_->node(n)->fabric()->TotalRoundTrips();
   }
   if (requests > 0) p.rts_per_op = static_cast<double>(rts) / requests;
   return p;
 }
 
 // ----- Elasticity hooks -----
-
-void DinomoSim::ScheduleLoadChange(double at_us, int client_threads) {
-  engine_.ScheduleAt(at_us, [this, client_threads] {
-    const int current = static_cast<int>(streams_.size());
-    // Reactivate parked streams first: a previous load drop deactivates
-    // streams without removing them, so a later rise back to (or below)
-    // the old count must wake them rather than allocate. Pre-fix, a
-    // down-then-up schedule took the else branch on the way back up
-    // (deactivated streams still count toward streams_.size()) and
-    // reactivated nothing — offered load never recovered.
-    for (int i = 0; i < std::min(client_threads, current); ++i) {
-      if (!streams_[i].active) {
-        streams_[i].active = true;
-        IssueNext(i);
-      }
-    }
-    if (client_threads > current) {
-      for (int i = current; i < client_threads; ++i) {
-        Stream s;
-        s.gen = std::make_unique<workload::WorkloadGenerator>(
-            options_.spec, options_.seed + 7000 + i);
-        s.active = true;
-        streams_.push_back(std::move(s));
-        IssueNext(static_cast<int>(streams_.size()) - 1);
-      }
-    } else {
-      for (int i = client_threads; i < current; ++i) {
-        streams_[i].active = false;  // dies after its in-flight op
-      }
-    }
-  });
-}
-
-void DinomoSim::ScheduleWorkloadChange(double at_us,
-                                       const workload::WorkloadSpec& spec) {
-  engine_.ScheduleAt(at_us, [this, spec] {
-    options_.spec = spec;
-    for (size_t i = 0; i < streams_.size(); ++i) {
-      streams_[i].gen = std::make_unique<workload::WorkloadGenerator>(
-          spec, options_.seed + 5000 + i);
-    }
-  });
-}
 
 void DinomoSim::ScheduleKill(double at_us, int kn_index) {
   engine_.ScheduleAt(at_us, [this, kn_index] { DoKill(kn_index); });
@@ -714,39 +462,7 @@ void DinomoSim::MnodeEpoch() {
 void DinomoSim::DoKill(int kn_index) {
   const std::vector<uint64_t> active = ActiveKns();
   if (kn_index < 0 || kn_index >= static_cast<int>(active.size())) return;
-  const uint64_t victim = active[kn_index];
-  DINOMO_CHECK(protocol_.FailKn(victim).ok());
-  // Detection + recovery: the M-node merges the failed KN's pending log
-  // segments and repartitions ownership (§3.5, "Fault tolerance").
-  engine_.ScheduleAfter(kFailureDetectUs, [this, victim] {
-    Status st = protocol_.RecoverKn(victim);
-    if (!st.ok()) {
-      DINOMO_LOG_STREAM(Error) << "kn recovery failed: " << st.ToString();
-    }
-    DINOMO_CHECK(st.ok());
-  });
-}
-
-void DinomoSim::DoDpmKill(int node) {
-  const double killed_at = engine_.now_us();
-  // The node dies NOW and its ranges' mirrors are promoted. Every worker
-  // re-resolves segment homes (FailoverRecover) at its next op; RPCs
-  // stamped with the old generation bounce as Unavailable, which the
-  // drivers retry.
-  Status killed = protocol_.KillDpm(node);
-  if (!killed.ok()) {
-    DINOMO_LOG_STREAM(Warn) << "dpm kill skipped: " << killed.ToString();
-    return;
-  }
-  if (injector_ != nullptr) injector_->NoteDpmFailStopEnacted();
-  // The M-node notices after kFailureDetectUs and runs the recovery.
-  engine_.ScheduleAfter(kFailureDetectUs, [this, killed_at] {
-    Status st = protocol_.RecoverDpm(killed_at);
-    if (!st.ok()) {
-      DINOMO_LOG_STREAM(Error) << "dpm recovery failed: " << st.ToString();
-    }
-    DINOMO_CHECK(st.ok());
-  });
+  DINOMO_CHECK(protocol_.KillKn(active[kn_index]).ok());
 }
 
 // ----- Runtime -----
@@ -766,6 +482,17 @@ uint64_t DinomoSim::StartKn() {
   return kns_.back()->kn_id;
 }
 
+Status DinomoSim::OnFailureDetected(std::function<Status()> recover) {
+  engine_.ScheduleAfter(kFailureDetectUs, [recover = std::move(recover)] {
+    Status st = recover();
+    if (!st.ok()) {
+      DINOMO_LOG_STREAM(Error) << "failure recovery: " << st.ToString();
+    }
+    DINOMO_CHECK(st.ok());
+  });
+  return Status::Ok();
+}
+
 void DinomoSim::StopKn(uint64_t kn_id) {
   KnSim* k = FindKn(kn_id);
   if (k != nullptr) k->failed = true;  // departed
@@ -776,12 +503,9 @@ void DinomoSim::FailKn(uint64_t kn_id) { StopKn(kn_id); }
 double DinomoSim::Occupancy(uint64_t kn_id, double, double epoch_us) {
   // The timing model's core occupancy, not the workers' CPU estimate.
   KnSim* k = FindKn(kn_id);
+  const double busy_us = std::exchange(k->busy_us_epoch, 0.0);
   const double per_worker_us = epoch_us * k->workers.size();
-  const double occupancy =
-      per_worker_us > 0 ? std::min(1.0, k->busy_us_epoch / per_worker_us)
-                        : 0.0;
-  k->busy_us_epoch = 0.0;
-  return occupancy;
+  return per_worker_us > 0 ? std::min(1.0, busy_us / per_worker_us) : 0.0;
 }
 
 void DinomoSim::RunOnWorkers(uint64_t kn_id,
@@ -794,10 +518,8 @@ void DinomoSim::RunOnWorkers(uint64_t kn_id,
 double DinomoSim::Quiesce(const std::vector<uint64_t>& kn_ids) {
   const double now = engine_.now_us();
   for (uint64_t id : kn_ids) {
-    RunOnWorkers(id, [](kn::KnWorker* w) {
-      kn::OpResult r = w->FlushWrites();
-      (void)r;  // Busy leaves the batch buffered; it flushes on resume
-    });
+    // Busy leaves a batch buffered; it flushes once the KN resumes.
+    RunOnWorkers(id, [](kn::KnWorker* w) { (void)w->FlushWrites(); });
   }
   // Synchronous merge of every runnable batch, charged to the DPM
   // processors. A batch already executing finishes at its own event.
@@ -806,7 +528,7 @@ double DinomoSim::Quiesce(const std::vector<uint64_t>& kn_ids) {
     dpm::MergeService* merge = pool_->node(n)->merge();
     dpm::MergeTask task;
     while (merge->TryDequeue(&task)) {
-      done = std::max(done, dpm_pool_.Reserve(now, merge->Execute(task)));
+      done = std::max(done, servers_.Reserve(now, merge->Execute(task)));
       merge->Finish(task);
     }
   }
@@ -821,25 +543,31 @@ void DinomoSim::Resume(const std::vector<uint64_t>& kn_ids, double ready_us) {
   }
 }
 
-double DinomoSim::SettleMerges(const std::function<bool(uint64_t)>&) {
-  return engine_.now_us();
+double DinomoSim::SettleMerges(const std::function<bool(uint64_t)>& which) {
+  // A batch PumpMerges dequeued keeps its owner busy until its Finish
+  // event; a synchronous drain on this thread would wait for that event
+  // forever. Finish it now, charge its remaining time to the ready time,
+  // and let the scheduled event find nothing to do.
+  double ready = engine_.now_us();
+  for (auto it = merging_.begin(); it != merging_.end();) {
+    if (!which(it->second.task.owner)) {
+      ++it;
+      continue;
+    }
+    const InflightMerge m = it->second;
+    it = merging_.erase(it);
+    ready = std::max(ready, m.done_us);
+    m.node->merge()->Finish(m.task);
+  }
+  return ready;
 }
 
-double DinomoSim::ChargeMigration(const MigrationStats& moved) {
+double DinomoSim::ChargeMigration(uint64_t bytes, uint64_t keys) {
   const double now = engine_.now_us();
   double done = now + kReconfigOverheadUs;
-  done = std::max(done, link_.Reserve(now, moved.bytes_moved));
-  done = std::max(done,
-                  dpm_pool_.Reserve(now, moved.keys_moved * kMigratePerKeyUs));
-  return std::max(done, now + moved.bytes_moved * kMigrateUsPerByte);
-}
-
-Status DinomoSim::AdminRpc(const std::function<Status()>& rpc) {
-  // Virtual time stands still inside an event: retry transient
-  // rejections back to back.
-  Status st = rpc();
-  for (int attempt = 1; attempt < 6 && IsTransient(st); ++attempt) st = rpc();
-  return st;
+  done = std::max(done, link_.Reserve(now, bytes));
+  done = std::max(done, servers_.Reserve(now, keys * kMigratePerKeyUs));
+  return std::max(done, now + bytes * kMigrateUsPerByte);
 }
 
 double DinomoSim::ChargeRepair(const dpm::DpmPool::RepairStats& repair) {
@@ -847,7 +575,7 @@ double DinomoSim::ChargeRepair(const dpm::DpmPool::RepairStats& repair) {
   double done = now + kReconfigOverheadUs;
   if (repair.bytes_copied > 0) {
     done = std::max(done, link_.Reserve(now, repair.bytes_copied));
-    done = std::max(done, dpm_pool_.Reserve(
+    done = std::max(done, servers_.Reserve(
                               now, repair.entries_copied * kRepairPerEntryUs));
   }
   return done;

@@ -3,9 +3,9 @@
 
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,6 +19,7 @@
 #include "net/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/driver.h"
 #include "sim/engine.h"
 #include "workload/ycsb.h"
 
@@ -26,7 +27,7 @@ namespace dinomo {
 namespace sim {
 
 /// Configuration of a virtual-time DINOMO cluster run.
-struct DinomoSimOptions {
+struct DinomoSimOptions : DriverOptions {
   SystemVariant variant = SystemVariant::kDinomo;
   int num_kns = 4;
   dpm::DpmOptions dpm;
@@ -38,10 +39,6 @@ struct DinomoSimOptions {
   /// DPM processor threads: merge work and two-sided RPCs contend here.
   int dpm_threads = 4;
 
-  // Closed-loop load (paper: 8 client nodes x 64 threads).
-  int client_threads = 64;
-  workload::WorkloadSpec spec;
-
   /// Requests each closed-loop client stream keeps in flight (the
   /// pipelined async client). 1 = the classic submit-and-wait client:
   /// the serving worker is modeled busy until the op's network time has
@@ -51,20 +48,12 @@ struct DinomoSimOptions {
   /// the pre-pipelining model.
   int pipeline_depth = 1;
 
-  /// Timeline resolution for throughput/latency series.
-  double stats_window_us = 100e3;
   /// Delay for a client to refresh routing after a rejection, us.
   double routing_refresh_us = 300.0;
-  /// Client request timeout after which a dead KN's request is retried
-  /// elsewhere (paper §5.3: "user requests are set to time out after
-  /// 500ms").
-  double request_timeout_us = 500e3;
 
-  /// M-node (only used when RunPolicyEpochs is enabled).
+  /// M-node (only used after EnableMnode).
   mnode::PolicyParams policy;
   double mnode_epoch_us = 1e6;
-
-  uint64_t seed = 42;
 
   /// Fault schedule injected into the fabric and the DPM RPC path (empty
   /// = fault-free). The injector's clock is the engine's virtual time, so
@@ -72,11 +61,6 @@ struct DinomoSimOptions {
   /// run. kFailStop events name a KN *index* into the active list and are
   /// enacted through the same path as ScheduleKill.
   net::FaultSchedule faults;
-
-  /// Registry the sim — and every component it creates (DPM node, fabric,
-  /// PM pool, merge service, KN workers, caches) — publishes metrics
-  /// into; nullptr = the process-wide registry.
-  obs::MetricsRegistry* metrics = nullptr;
 
   /// Request tracer (nullptr = the global tracer). When enabled, the sim
   /// installs its virtual clock into the tracer for the lifetime of the
@@ -89,15 +73,11 @@ struct DinomoSimOptions {
 /// virtual time. Used by the Figure-5/6/7/8 and Table-6 harnesses.
 /// Reconfigurations run the shared §3.5 protocol (ReconfigProtocol); this
 /// class is its virtual-time Runtime.
-class DinomoSim : private Runtime {
+class DinomoSim : public Driver, private Runtime {
  public:
   explicit DinomoSim(const DinomoSimOptions& options);
-  ~DinomoSim() override;
 
-  DinomoSim(const DinomoSim&) = delete;
-  DinomoSim& operator=(const DinomoSim&) = delete;
 
-  Engine* engine() { return &engine_; }
   /// DPM node 0 — the whole pool in single-node configurations.
   dpm::DpmNode* dpm() { return pool_->node(0); }
   dpm::DpmPool* pool() { return pool_.get(); }
@@ -108,25 +88,13 @@ class DinomoSim : private Runtime {
   /// warm-up phase.
   void Preload();
 
-  /// Runs the closed loop for `duration_us` of virtual time. Statistics
-  /// ignore the first `warmup_us`.
-  void Run(double duration_us, double warmup_us = 0.0);
-
   /// Flushes every live worker's buffered log batches to the DPM pool.
   /// Acked writes may sit in KN-side batches (served from the buffer on
   /// reads) until a flush; benchmarks call this before auditing
   /// durability directly against the DPM indexes.
   void DrainLogs();
 
-  // ----- Results -----
-
-  /// Post-warmup average throughput in Mops/s.
-  double ThroughputMops() const;
-  double AvgLatencyUs() const {
-    return closed_stats_.intended_latency.Average();
-  }
-  double P99LatencyUs() const { return closed_stats_.intended_latency.P99(); }
-  const WindowStats& windows() const { return closed_stats_.windows; }
+  // ----- Results (throughput and latency: see Driver) -----
 
   /// Restarts the profile window: fabric round-trip counters, worker op
   /// counters, and cache hit/miss stats all reset to zero (warm state —
@@ -150,13 +118,8 @@ class DinomoSim : private Runtime {
 
   // ----- Elasticity experiment hooks (Figures 6-8) -----
 
-  /// Changes the number of active closed-loop client threads at `at_us`.
-  void ScheduleLoadChange(double at_us, int client_threads);
   /// Fail-stop kills the idx-th active KN at `at_us`.
   void ScheduleKill(double at_us, int kn_index);
-  /// Switches every client's workload spec at `at_us` (e.g. Zipf 0.5 ->
-  /// Zipf 2 for the load-balancing experiment).
-  void ScheduleWorkloadChange(double at_us, const workload::WorkloadSpec& s);
   /// Enables the M-node: a policy epoch every options.mnode_epoch_us.
   void EnableMnode();
 
@@ -175,30 +138,7 @@ class DinomoSim : private Runtime {
     double autoscaler_interval_us = 50e3;
   };
 
-  struct OpenLoopStats {
-    explicit OpenLoopStats(double window_us) : windows(window_us) {}
-    /// Latency from the op's *intended* arrival time — includes every
-    /// retry, park and queueing delay, so overload shows up instead of
-    /// being coordinated-omitted. The SLO numbers. Post-warmup.
-    Histogram intended_latency;
-    /// Latency from the op's final dispatch to a worker (the closed-loop
-    /// style number, for comparison). Post-warmup.
-    Histogram service_latency;
-    uint64_t offered = 0;     // arrivals injected
-    uint64_t completed = 0;   // ops finished (all, including warmup)
-    uint64_t completed_after_warmup = 0;
-    uint64_t abandoned = 0;   // retry budget exhausted
-    uint64_t in_flight_at_end = 0;
-    /// Completions with intended-basis latency, per stats window.
-    WindowStats windows;
-    /// Arrivals per stats window (indexed like `windows`), i.e. the
-    /// offered-load curve actually generated.
-    std::vector<uint64_t> offered_per_window;
-    /// (virtual us, active KNs) after each autoscaler evaluation.
-    std::vector<std::pair<double, int>> kn_trajectory;
-    int scale_ups = 0;
-    int scale_downs = 0;
-  };
+  using OpenLoopStats = RunStats;
 
   /// Runs `duration_us` of open-loop traffic: ops from opts.source enter
   /// the system at their intended arrival times, independent of
@@ -210,12 +150,13 @@ class DinomoSim : private Runtime {
   /// Stats of the last RunOpenLoop (nullptr before the first call).
   const OpenLoopStats* open_loop_stats() const { return open_stats_.get(); }
 
-  int NumActiveKns() const;
+  int NumActiveKns() const { return static_cast<int>(ActiveKns().size()); }
   /// KN ids currently serving.
   std::vector<uint64_t> ActiveKns() const override;
 
   /// The reconfiguration protocol this sim's elasticity hooks drive. Calls
-  /// enact at the current virtual time (no failure-detection delay).
+  /// enact at the current virtual time; a kill's recovery runs once the
+  /// modeled failure detection fires.
   ReconfigProtocol* protocol() { return &protocol_; }
 
  private:
@@ -237,53 +178,12 @@ class DinomoSim : private Runtime {
     double busy_us_epoch = 0.0;  // occupancy accounting
   };
 
-  struct Stream {
-    std::unique_ptr<workload::WorkloadGenerator> gen;
-    bool active = false;
-    /// Ops this stream currently has in flight (≤ pipeline_depth).
-    int in_flight = 0;
-  };
-
-  /// Stream index of an op that arrived from the open-loop source.
-  static constexpr int kOpenLoop = -1;
-
-  /// One in-flight op of either driver: a closed-loop stream (which
-  /// issues its next op on completion) or an open-loop arrival. Held by
-  /// shared_ptr in the engine events that retry and complete it.
-  struct InflightOp {
-    workload::WorkloadOp op;
-    int stream = kOpenLoop;
-    /// Closed loop: issue time. Open loop: intended arrival time.
-    double intended_us = 0.0;
-    /// When the attempt that finally got served was dispatched.
-    double dispatch_us = 0.0;
-    int attempt = 0;
-    obs::TraceContext* trace = nullptr;  // owned by traces_
-  };
-
   KnSim* FindKn(uint64_t kn_id);
-  /// Installs `injector` (nullptr = none) into every DPM node and fabric.
-  void InstallInjector(net::FaultInjector* injector);
 
-  /// Closed-loop source: tops the stream's window back up.
-  void IssueNext(int stream_idx);
-  /// Samples a trace for a new op and dispatches it.
-  void Launch(std::shared_ptr<InflightOp> op);
-  /// Serves `op` now, or leaves it to the retry TryServe scheduled.
-  void Dispatch(const std::shared_ptr<InflightOp>& op);
-  void Complete(const InflightOp& op, double finish);
-  /// Ends a sampled op's trace and drops it from traces_.
-  void ReleaseTrace(obs::TraceContext* trace);
-  /// Service core of the driver: routes the op, runs the real worker
-  /// code, applies the timing model, and returns the finish time. Any
-  /// disposition that cannot serve now (empty ring, dead KN,
-  /// reconfiguration window, Busy park, wrong owner) schedules `retry`
-  /// itself and returns a negative value. `async_worker` selects the
-  /// pipelined-server occupancy model (worker core busy for the CPU
-  /// portion only).
   double TryServe(const workload::WorkloadOp& op, const std::string& put_value,
                   obs::TraceContext* trace, bool async_worker,
-                  const std::function<void()>& retry);
+                  const std::function<void()>& retry,
+                  double* start_us) override;
   void PumpMerges();
   void OnMergeFinished(const dpm::MergeAck& ack);
 
@@ -292,7 +192,6 @@ class DinomoSim : private Runtime {
 
   void MnodeEpoch();
   void DoKill(int kn_index);
-  void DoDpmKill(int node);
 
   // Runtime: virtual time. A protocol call runs inside one engine event,
   // so a KN is unavailable exactly from now until the ready time Resume
@@ -301,6 +200,7 @@ class DinomoSim : private Runtime {
   uint64_t StartKn() override;
   void StopKn(uint64_t kn_id) override;
   void FailKn(uint64_t kn_id) override;
+  Status OnFailureDetected(std::function<Status()> recover) override;
   double Occupancy(uint64_t kn_id, double worker_busy_us,
                    double epoch_us) override;
   void RunOnWorkers(uint64_t kn_id,
@@ -308,56 +208,36 @@ class DinomoSim : private Runtime {
   double Quiesce(const std::vector<uint64_t>& kn_ids) override;
   void Resume(const std::vector<uint64_t>& kn_ids, double ready_us) override;
   double SettleMerges(const std::function<bool(uint64_t)>& which) override;
-  double ChargeMigration(const MigrationStats& moved) override;
+  double ChargeMigration(uint64_t bytes, uint64_t keys) override;
   double ChargeRepair(const dpm::DpmPool::RepairStats& repair) override;
-  Status AdminRpc(const std::function<Status()>& rpc) override;
 
   DinomoSimOptions options_;
-  obs::Tracer* tracer_;        // options.tracer or the global one
-  uint32_t trace_pid_ = 0;     // chrome pid lane for this sim instance
-  bool trace_clock_installed_ = false;
-  obs::MetricGroup metrics_;  // sim.dinomo.*
-  obs::HistogramMetric& op_latency_us_;
-  obs::Gauge& throughput_mops_;
-  obs::Gauge& link_utilization_;
-  obs::Gauge& dpm_utilization_;
-  Engine engine_;
   // Declared before pool_ so the injector outlives the fabrics and DPM
   // nodes that hold raw pointers to it.
   std::unique_ptr<net::FaultInjector> injector_;
   std::unique_ptr<dpm::DpmPool> pool_;
   ReconfigProtocol protocol_;
 
-  LinkModel link_;
-  PoolModel dpm_pool_;
+  /// A batch PumpMerges executed whose Finish is a future engine event.
+  struct InflightMerge {
+    dpm::DpmNode* node;
+    dpm::MergeTask task;
+    double done_us;
+  };
+  /// Keyed by dequeue order, so settling is deterministic.
+  std::map<uint64_t, InflightMerge> merging_;
+  uint64_t next_merge_id_ = 0;
 
   std::vector<std::unique_ptr<KnSim>> kns_;
   uint64_t next_kn_id_ = 1;
 
-  std::vector<Stream> streams_;
   uint64_t salt_ = 0;
-  /// Traces of sampled in-flight ops of both drivers. Owned here so
-  /// teardown can end them while the virtual clock is still installed;
-  /// InflightOp holds raw pointers. Spans survive reschedules: Busy parks
-  /// and routing retries become wait spans.
-  std::vector<std::unique_ptr<obs::TraceContext>> traces_;
-
-  /// The closed loop's counters, in the open loop's shape (its latency
-  /// basis is the issue time); kept across runs.
-  OpenLoopStats closed_stats_;
-  /// Latency since the last control-plane evaluation (M-node epoch or
-  /// autoscaler window), either driver.
-  Histogram interval_latency_;
-  double warmup_until_ = 0.0;
-  double run_until_ = 0.0;
 
   bool mnode_enabled_ = false;
   double epoch_started_ = 0.0;
 
   // Open-loop run state (live only inside RunOpenLoop).
   load::TrafficSource* open_source_ = nullptr;
-  std::unique_ptr<OpenLoopStats> open_stats_;
-  std::string open_value_;
   bool open_exhausted_ = true;
   std::unique_ptr<mnode::SloAutoscaler> autoscaler_;
   double autoscaler_interval_us_ = 0.0;

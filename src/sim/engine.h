@@ -43,7 +43,6 @@ class Engine {
   /// `until_us`. Returns the number of events executed.
   uint64_t RunUntil(double until_us);
 
-  bool empty() const { return events_.empty(); }
   uint64_t executed() const { return executed_; }
 
  private:
@@ -115,8 +114,6 @@ class PoolModel {
     return next_free_[best];
   }
 
-  int size() const { return static_cast<int>(next_free_.size()); }
-  double busy_us() const { return busy_us_; }
   double Utilization(double elapsed_us) const {
     return elapsed_us > 0 ? busy_us_ / (elapsed_us * next_free_.size())
                           : 0.0;

@@ -401,6 +401,26 @@ TEST_F(KnWorkerTest, ScanStartsAtFirstKeyGeqStart) {
   EXPECT_EQ(rows[2].key, ScanKey(8));
 }
 
+TEST_F(KnWorkerTest, ScanStartingOnASearchLayerNodeReturnsIt) {
+  // Enough keys that some nodes reach the cached search layer (height
+  // >= kSearchLayerHeight). A scan starting exactly on one of them must
+  // return that node's own row first.
+  constexpr int kKeys = 400;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(worker_->Put(ScanKey(i), "v" + std::to_string(i)).status.ok());
+  }
+  ASSERT_TRUE(worker_->DrainLog().ok());
+  std::vector<ScanRow> rows;
+  ASSERT_TRUE(worker_->Scan(Slice(ScanKey(0)), 1, &rows).status.ok());
+  ASSERT_GT(worker_->search_layer(0).size(), 0u);
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(worker_->Scan(Slice(ScanKey(i)), 2, &rows).status.ok());
+    ASSERT_FALSE(rows.empty()) << ScanKey(i);
+    EXPECT_EQ(rows[0].key, ScanKey(i));
+    EXPECT_EQ(rows[0].value, "v" + std::to_string(i));
+  }
+}
+
 TEST_F(KnWorkerTest, ScanOverlaysOwnUnmergedWrites) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(worker_->Put(ScanKey(i), "old").status.ok());
