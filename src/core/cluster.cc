@@ -393,12 +393,8 @@ Status Cluster::Start() {
   if (!options_.faults.empty()) {
     injector_ = std::make_unique<net::FaultInjector>(options_.faults,
                                                      options_.dpm.metrics);
-    const auto epoch = std::chrono::steady_clock::now();
-    injector_->SetClock([epoch] {
-      return std::chrono::duration<double, std::micro>(
-                 std::chrono::steady_clock::now() - epoch)
-          .count();
-    });
+    const double started_us = NowUs();  // fault windows count from here
+    injector_->SetClock([this, started_us] { return NowUs() - started_us; });
     // Real-thread runtime: injected delays cost wall-clock time, so the
     // paths under test experience them, not just the latency model.
     injector_->set_sleep_on_delay(true);
@@ -480,7 +476,7 @@ kn::KvsNode* Cluster::kn(uint64_t kn_id) {
 
 double Cluster::NowUs() {
   return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - epoch_)
+             std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
@@ -506,8 +502,7 @@ void Cluster::StopKn(uint64_t kn_id) {
 }
 
 void Cluster::FailKn(uint64_t kn_id) {
-  kn::KvsNode* node = kn(kn_id);
-  if (node != nullptr) node->Fail();
+  if (kn::KvsNode* node = kn(kn_id)) node->Fail();
 }
 
 void Cluster::RunOnWorkers(uint64_t kn_id,

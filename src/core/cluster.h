@@ -315,8 +315,6 @@ class Cluster : private Runtime {
   void FaultEnactorLoop();
 
   ClusterOptions options_;
-  const std::chrono::steady_clock::time_point epoch_ =
-      std::chrono::steady_clock::now();
   std::unique_ptr<dpm::DpmPool> pool_;
   std::unique_ptr<net::FaultInjector> injector_;
 

@@ -38,19 +38,8 @@ void SetFaultInjector(dpm::DpmPool* pool, net::FaultInjector* injector) {
   }
 }
 
-Status Runtime::OnFailureDetected(std::function<Status()> recover) {
-  return recover();
-}
-
 double Runtime::Occupancy(uint64_t, double worker_busy_us, double epoch_us) {
   return epoch_us > 0 ? std::min(1.0, worker_busy_us / epoch_us) : 0.0;
-}
-double Runtime::SettleMerges(const std::function<bool(uint64_t)>&) {
-  return NowUs();
-}
-double Runtime::ChargeMigration(uint64_t, uint64_t) { return NowUs(); }
-double Runtime::ChargeRepair(const dpm::DpmPool::RepairStats&) {
-  return NowUs();
 }
 
 Status Runtime::AdminRpc(const std::function<Status()>& rpc) {
@@ -228,18 +217,20 @@ Result<uint64_t> ReconfigProtocol::AddKn() {
 }
 
 Status ReconfigProtocol::RemoveKn(uint64_t kn_id) {
-  std::vector<uint64_t> survivors = rt_->ActiveKns();
-  if (!Contains(survivors, kn_id)) return Status::NotFound("unknown KN");
-  if (survivors.size() <= 1) {
+  const std::vector<uint64_t> active = rt_->ActiveKns();
+  if (!Contains(active, kn_id)) return Status::NotFound("unknown KN");
+  if (active.size() == 1) {
     return Status::InvalidArgument("cannot remove the last KN");
   }
-  survivors.erase(std::find(survivors.begin(), survivors.end(), kn_id));
-  const double ready = rt_->Quiesce({kn_id});
+  return Depart(kn_id, rt_->Quiesce({kn_id}));
+}
+
+Status ReconfigProtocol::Depart(uint64_t kn_id, double ready_us) {
   routing_.RemoveKn(kn_id);
   rt_->StopKn(kn_id);
   // DINOMO-N: the gainers stall while the departed partition moves; the
   // mapping is pushed only once the data is where it says.
-  Status st = Reorganize({kn_id}, survivors, ready);
+  Status st = Reorganize({kn_id}, rt_->ActiveKns(), ready_us);
   PushRouting();
   return st;
 }
@@ -250,23 +241,29 @@ Status ReconfigProtocol::KillKn(uint64_t kn_id) {
   return rt_->OnFailureDetected([this, kn_id] { return RecoverKn(kn_id); });
 }
 
+Result<double> ReconfigProtocol::DrainLogs(const std::vector<uint64_t>& kns,
+                                           bool release) {
+  const double ready = rt_->SettleMerges(
+      [&kns](uint64_t owner) { return Contains(kns, owner >> 8); });
+  for (uint64_t kn_id : kns) {
+    for (int w = 0; w < workers_per_kn_; ++w) {
+      const uint64_t owner = (kn_id << 8) | static_cast<uint64_t>(w);
+      for (int n = 0; n < pool_->num_nodes(); ++n) {
+        if (!pool_->alive(n)) continue;
+        DINOMO_RETURN_IF_ERROR(pool_->node(n)->DrainOwner(owner));
+        if (release) pool_->node(n)->ReleaseOwnerSegments(owner);
+      }
+    }
+  }
+  return ready;
+}
+
 Status ReconfigProtocol::RecoverKn(uint64_t kn_id) {
   // Failure handling (§3.5): merge the failed KN's pending log segments,
   // then repartition its ownership among the survivors.
-  const double ready = rt_->SettleMerges(
-      [kn_id](uint64_t owner) { return (owner >> 8) == kn_id; });
-  for (int w = 0; w < workers_per_kn_; ++w) {
-    const uint64_t owner = (kn_id << 8) | static_cast<uint64_t>(w);
-    for (int n = 0; n < pool_->num_nodes(); ++n) {
-      if (!pool_->alive(n)) continue;
-      DINOMO_RETURN_IF_ERROR(pool_->node(n)->DrainOwner(owner));
-      pool_->node(n)->ReleaseOwnerSegments(owner);
-    }
-  }
-  routing_.RemoveKn(kn_id);
-  rt_->StopKn(kn_id);
-  Status st = Reorganize({kn_id}, rt_->ActiveKns(), ready);
-  PushRouting();
+  auto drained = DrainLogs({kn_id}, /*release=*/true);
+  if (!drained.ok()) return drained.status();
+  Status st = Depart(kn_id, drained.value());
   policy_.NoteMembershipChange(rt_->NowUs() / 1e6);
   return st;
 }
@@ -305,9 +302,8 @@ Status ReconfigProtocol::RecoverDpm(double killed_at_us) {
       const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
       if (pl.primary >= 0 && pool_->alive(pl.primary)) {
         dpm::DpmNode* home = pool_->node(pl.primary);
-        const uint64_t kh = key_hash;
-        Status removed =
-            rt_->AdminRpc([home, kh] { return home->RemoveIndirect(0, kh); });
+        Status removed = rt_->AdminRpc(
+            [home, key_hash] { return home->RemoveIndirect(0, key_hash); });
         if (!removed.ok() && !removed.IsNotFound()) {
           DINOMO_LOG_STREAM(Warn)
               << "collapse of replicated key failed: " << removed.ToString();
@@ -355,15 +351,20 @@ Status ReconfigProtocol::Replicate(uint64_t key_hash, int replication) {
   if (owners.size() <= 1) return Status::Ok();  // nothing to share with
 
   // The primary is the only node that may hold the value in cache: pause
-  // it, land its writes, install the indirect slot on the key's primary
-  // DPM node, drop the cached copy, then publish.
-  const double ready = rt_->Quiesce({primary});
+  // it, land all its writes (the slot snapshots the merged value),
+  // install the indirect slot on the key's primary DPM node, drop the
+  // cached copy, then publish.
+  double ready = rt_->Quiesce({primary});
+  auto drained = DrainLogs({primary}, /*release=*/false);
+  Status st = drained.status();
   dpm::DpmNode* home = pool_->node(pool_->PlacementOf(key_hash).primary);
   const int kn_node = static_cast<int>(primary % net::Fabric::kMaxNodes);
-  Status st = rt_->AdminRpc(
-      [home, kn_node, key_hash] {
-        return home->InstallIndirect(kn_node, key_hash).status();
-      });
+  if (st.ok()) {
+    ready = std::max(ready, drained.value());
+    st = rt_->AdminRpc([home, kn_node, key_hash] {
+      return home->InstallIndirect(kn_node, key_hash).status();
+    });
+  }
   if (st.ok()) {
     InvalidateKey(primary, key_hash);
     routing_.SetReplication(key_hash, owners);
@@ -377,13 +378,19 @@ Status ReconfigProtocol::Dereplicate(uint64_t key_hash) {
   const std::vector<uint64_t> owners =
       routing_.Snapshot()->OwnersOf(key_hash);
   if (owners.size() <= 1) return Status::Ok();
-  // Stop all owners from racing the write-back, drop their cached
-  // shortcuts, collapse the slot, then publish the single-owner mapping.
-  const double ready = rt_->Quiesce(owners);
-  for (uint64_t id : owners) InvalidateKey(id, key_hash);
-  dpm::DpmNode* home = pool_->node(pool_->PlacementOf(key_hash).primary);
-  Status st = rt_->AdminRpc(
-      [home, key_hash] { return home->RemoveIndirect(0, key_hash); });
+  // Stop all owners from racing the write-back and land their writes,
+  // drop their cached shortcuts, collapse the slot, then publish the
+  // single-owner mapping.
+  double ready = rt_->Quiesce(owners);
+  auto drained = DrainLogs(owners, /*release=*/false);
+  Status st = drained.status();
+  if (st.ok()) {
+    ready = std::max(ready, drained.value());
+    for (uint64_t id : owners) InvalidateKey(id, key_hash);
+    dpm::DpmNode* home = pool_->node(pool_->PlacementOf(key_hash).primary);
+    st = rt_->AdminRpc(
+        [home, key_hash] { return home->RemoveIndirect(0, key_hash); });
+  }
   if (st.ok() || st.IsNotFound()) {
     st = Status::Ok();
     routing_.ClearReplication(key_hash);

@@ -85,7 +85,9 @@ class Runtime {
   /// Runs `recover` once the M-node has detected a failure: at once
   /// (returning its status) by default, after the modeled detection delay
   /// in virtual time.
-  virtual Status OnFailureDetected(std::function<Status()> recover);
+  virtual Status OnFailureDetected(std::function<Status()> recover) {
+    return recover();
+  }
   /// Fraction of the last `epoch_us` the KN was busy, given its workers'
   /// reported busy time.
   virtual double Occupancy(uint64_t kn_id, double worker_busy_us,
@@ -94,13 +96,20 @@ class Runtime {
   /// `which` selects synchronously on this thread: completes any of their
   /// batches the runtime has dequeued but not finished, so the drain
   /// cannot wait on itself. Returns the time those batches finish.
-  virtual double SettleMerges(const std::function<bool(uint64_t)>& which);
+  virtual double SettleMerges(
+      const std::function<bool(uint64_t)>& /*which*/) {
+    return NowUs();
+  }
   /// Charges a DINOMO-N reorganization that moved `keys` entries of
   /// `bytes` in total; returns when it is done.
-  virtual double ChargeMigration(uint64_t bytes, uint64_t keys);
+  virtual double ChargeMigration(uint64_t /*bytes*/, uint64_t /*keys*/) {
+    return NowUs();
+  }
   /// Charges the re-replication repair after a DPM fail-stop; returns
   /// when it is done.
-  virtual double ChargeRepair(const dpm::DpmPool::RepairStats& repair);
+  virtual double ChargeRepair(const dpm::DpmPool::RepairStats& /*repair*/) {
+    return NowUs();
+  }
   /// Issues one control-plane DPM RPC, retrying transient rejections
   /// (back to back by default).
   virtual Status AdminRpc(const std::function<Status()>& rpc);
@@ -150,7 +159,15 @@ class ReconfigProtocol {
                                 double now_s);
 
  private:
+  /// Completes the synchronous merge of the logs of `kns` on every live
+  /// DPM node, settling batches the runtime holds mid-merge first; with
+  /// `release`, also frees their segments. Returns when the settled
+  /// batches finish.
+  Result<double> DrainLogs(const std::vector<uint64_t>& kns, bool release);
   Status RecoverKn(uint64_t kn_id);
+  /// Steps 4-7 for a KN leaving the ring once its logs are merged:
+  /// publish the mapping without it and retire it.
+  Status Depart(uint64_t kn_id, double ready_us);
   Status RecoverDpm(double killed_at_us);
   /// Pushes the current mapping to every serving KN, each emptying its
   /// caches of the ranges it no longer owns.

@@ -354,7 +354,7 @@ void DinomoSim::ScheduleNextArrival() {
     auto op = std::make_shared<InflightOp>();
     op->op = timed.op;
     op->intended_us = timed.intended_us;
-    Launch(std::move(op));
+    Dispatch(op);
     ScheduleNextArrival();
   });
 }
@@ -498,8 +498,6 @@ void DinomoSim::StopKn(uint64_t kn_id) {
   if (k != nullptr) k->failed = true;  // departed
 }
 
-void DinomoSim::FailKn(uint64_t kn_id) { StopKn(kn_id); }
-
 double DinomoSim::Occupancy(uint64_t kn_id, double, double epoch_us) {
   // The timing model's core occupancy, not the workers' CPU estimate.
   KnSim* k = FindKn(kn_id);
@@ -562,23 +560,22 @@ double DinomoSim::SettleMerges(const std::function<bool(uint64_t)>& which) {
   return ready;
 }
 
-double DinomoSim::ChargeMigration(uint64_t bytes, uint64_t keys) {
+double DinomoSim::ChargeCopy(uint64_t bytes, double dpm_cpu_us) {
   const double now = engine_.now_us();
-  double done = now + kReconfigOverheadUs;
-  done = std::max(done, link_.Reserve(now, bytes));
-  done = std::max(done, servers_.Reserve(now, keys * kMigratePerKeyUs));
-  return std::max(done, now + bytes * kMigrateUsPerByte);
+  const double done =
+      std::max(now + kReconfigOverheadUs, link_.Reserve(now, bytes));
+  return std::max(done, servers_.Reserve(now, dpm_cpu_us));
+}
+
+double DinomoSim::ChargeMigration(uint64_t bytes, uint64_t keys) {
+  return std::max(ChargeCopy(bytes, keys * kMigratePerKeyUs),
+                  engine_.now_us() + bytes * kMigrateUsPerByte);
 }
 
 double DinomoSim::ChargeRepair(const dpm::DpmPool::RepairStats& repair) {
-  const double now = engine_.now_us();
-  double done = now + kReconfigOverheadUs;
-  if (repair.bytes_copied > 0) {
-    done = std::max(done, link_.Reserve(now, repair.bytes_copied));
-    done = std::max(done, servers_.Reserve(
-                              now, repair.entries_copied * kRepairPerEntryUs));
-  }
-  return done;
+  if (repair.bytes_copied == 0) return engine_.now_us() + kReconfigOverheadUs;
+  return ChargeCopy(repair.bytes_copied,
+                    repair.entries_copied * kRepairPerEntryUs);
 }
 
 }  // namespace sim

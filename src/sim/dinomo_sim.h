@@ -81,8 +81,6 @@ class DinomoSim : public Driver, private Runtime {
   /// DPM node 0 — the whole pool in single-node configurations.
   dpm::DpmNode* dpm() { return pool_->node(0); }
   dpm::DpmPool* pool() { return pool_.get(); }
-  /// Non-null iff options.faults was non-empty.
-  net::FaultInjector* fault_injector() { return injector_.get(); }
   /// Loads spec.record_count records (no virtual time elapses) and
   /// settles all merges. Caches end up warm, as after the paper's load +
   /// warm-up phase.
@@ -199,7 +197,7 @@ class DinomoSim : public Driver, private Runtime {
   double NowUs() override { return engine_.now_us(); }
   uint64_t StartKn() override;
   void StopKn(uint64_t kn_id) override;
-  void FailKn(uint64_t kn_id) override;
+  void FailKn(uint64_t kn_id) override { StopKn(kn_id); }
   Status OnFailureDetected(std::function<Status()> recover) override;
   double Occupancy(uint64_t kn_id, double worker_busy_us,
                    double epoch_us) override;
@@ -209,6 +207,8 @@ class DinomoSim : public Driver, private Runtime {
   void Resume(const std::vector<uint64_t>& kn_ids, double ready_us) override;
   double SettleMerges(const std::function<bool(uint64_t)>& which) override;
   double ChargeMigration(uint64_t bytes, uint64_t keys) override;
+  /// Round overhead plus `bytes` of link and `dpm_cpu_us` of DPM time.
+  double ChargeCopy(uint64_t bytes, double dpm_cpu_us);
   double ChargeRepair(const dpm::DpmPool::RepairStats& repair) override;
 
   DinomoSimOptions options_;

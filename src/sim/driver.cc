@@ -5,16 +5,6 @@
 namespace dinomo {
 namespace sim {
 
-namespace {
-
-const char* OpName(workload::OpType type) {
-  return type == workload::OpType::kRead   ? "get"
-         : type == workload::OpType::kScan ? "scan"
-                                           : "put";
-}
-
-}  // namespace
-
 Driver::Driver(const DriverOptions& options, const char* metrics_scope,
                const char* servers_gauge, const net::LinkProfile& link,
                int servers, int pipeline_depth, obs::Tracer* tracer)
@@ -72,8 +62,7 @@ void Driver::Run(double duration_us, double warmup_us) {
 }
 
 void Driver::PublishRunGauges(const RunStats& stats) {
-  const double span = run_until_ - warmup_until_;
-  throughput_mops_.Set(span > 0 ? stats.completed_after_warmup / span : 0.0);
+  throughput_mops_.Set(Mops(stats));
   const double elapsed = engine_.now_us();
   link_utilization_.Set(link_.Utilization(elapsed));
   servers_utilization_.Set(servers_.Utilization(elapsed));
@@ -110,7 +99,7 @@ void Driver::IssueNext(int stream_idx) {
     op->stream = stream_idx;
     op->intended_us = engine_.now_us();
     s.in_flight++;
-    Launch(std::move(op));
+    Dispatch(op);
   }
 }
 
@@ -123,17 +112,16 @@ double Driver::RetryAt(double at_us, obs::TraceContext* trace,
   return -1.0;
 }
 
-void Driver::Launch(std::shared_ptr<InflightOp> op) {
-  if (tracer_ != nullptr && tracer_->ShouldSample()) {
-    traces_.push_back(
-        std::make_unique<obs::TraceContext>(tracer_, OpName(op->op.type)));
+void Driver::Dispatch(const std::shared_ptr<InflightOp>& op) {
+  if (op->attempt == 0 && tracer_ != nullptr && tracer_->ShouldSample()) {
+    const workload::OpType type = op->op.type;
+    traces_.push_back(std::make_unique<obs::TraceContext>(
+        tracer_, type == workload::OpType::kRead   ? "get"
+                 : type == workload::OpType::kScan ? "scan"
+                                                   : "put"));
     traces_.back()->set_pid(trace_pid_);
     op->trace = traces_.back().get();
   }
-  Dispatch(op);
-}
-
-void Driver::Dispatch(const std::shared_ptr<InflightOp>& op) {
   const bool closed = op->stream != kOpenLoop;
   if (closed && !streams_[op->stream].active) {
     // Deactivated (load change) with this op still rescheduling: drop it
@@ -199,10 +187,6 @@ void Driver::Complete(const InflightOp& op, double finish) {
   }
 }
 
-double Driver::ThroughputMops() const {
-  const double span = run_until_ - warmup_until_;
-  return span > 0 ? closed_stats_.completed_after_warmup / span : 0.0;
-}
 
 void Driver::ScheduleLoadChange(double at_us, int client_threads) {
   engine_.ScheduleAt(at_us, [this, client_threads] {

@@ -82,7 +82,7 @@ class Driver {
   void Run(double duration_us, double warmup_us = 0.0);
 
   /// Closed loop, post-warmup: average throughput in Mops/s and latency.
-  double ThroughputMops() const;
+  double ThroughputMops() const { return Mops(closed_stats_); }
   double AvgLatencyUs() const {
     return closed_stats_.intended_latency.Average();
   }
@@ -136,12 +136,13 @@ class Driver {
                           const std::function<void()>& retry,
                           double* start_us) = 0;
 
+  /// Serves `op` now, or leaves it to the retry TryServe scheduled. A new
+  /// op (attempt 0) may be sampled for tracing first.
+  void Dispatch(const std::shared_ptr<InflightOp>& op);
   /// Backs off: `retry` runs at `at_us` (a backoff wait on a sampled op).
   /// Returns TryServe's "not served" value.
   double RetryAt(double at_us, obs::TraceContext* trace,
                  const std::function<void()>& retry);
-  /// Samples a trace for a new op and dispatches it.
-  void Launch(std::shared_ptr<InflightOp> op);
   /// Times an op a worker serves: its CPU from when the worker is free
   /// (`*free_until`), then the shared link for the payload, its round
   /// trips, and any server-pool time. Sets `*start_us` and returns the
@@ -150,6 +151,11 @@ class Driver {
   /// while the next queued op executes).
   double Serve(const kn::OpResult& r, bool async_worker, double* free_until,
                double* start_us);
+  /// Post-warmup throughput of `stats` over the current run, Mops/s.
+  double Mops(const RunStats& stats) const {
+    const double span = run_until_ - warmup_until_;
+    return span > 0 ? stats.completed_after_warmup / span : 0.0;
+  }
   /// Publishes a finished run's throughput and utilization gauges.
   void PublishRunGauges(const RunStats& stats);
 
@@ -194,8 +200,6 @@ class Driver {
 
   /// Closed-loop source: tops the stream's window back up.
   void IssueNext(int stream_idx);
-  /// Serves `op` now, or leaves it to the retry TryServe scheduled.
-  void Dispatch(const std::shared_ptr<InflightOp>& op);
   void Complete(const InflightOp& op, double finish);
   /// Ends a sampled op's trace and drops it from traces_.
   void ReleaseTrace(obs::TraceContext* trace);

@@ -1,7 +1,6 @@
 #ifndef DINOMO_SIM_ENGINE_H_
 #define DINOMO_SIM_ENGINE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>

@@ -2,8 +2,8 @@
 // through ReconfigProtocol on the wall-clock Cluster and on the
 // virtual-time DinomoSim must leave both with the same membership, the
 // same replicated keys and the same data. Plus the sim's DPM-kill path
-// with merges in flight, which once waited forever on a merge only a
-// future engine event could finish.
+// with merges in flight: a synchronous drain there must not wait on a
+// merge that only a future engine event can finish.
 
 #include <gtest/gtest.h>
 
