@@ -496,9 +496,10 @@ uint64_t Cluster::StartKn() {
 void Cluster::StopKn(uint64_t kn_id) {
   kn::KvsNode* node = kn(kn_id);
   if (node == nullptr) return;
+  // The object stays allocated: a client may still hold it, and it now
+  // answers Unavailable. Marked failed, it never counts as serving again.
   node->Stop();
-  MutexLock lock(kns_mu_);
-  kns_.erase(kn_id);
+  node->Fail();
 }
 
 void Cluster::FailKn(uint64_t kn_id) {

@@ -38,10 +38,6 @@ void SetFaultInjector(dpm::DpmPool* pool, net::FaultInjector* injector) {
   }
 }
 
-double Runtime::Occupancy(uint64_t, double worker_busy_us, double epoch_us) {
-  return epoch_us > 0 ? std::min(1.0, worker_busy_us / epoch_us) : 0.0;
-}
-
 Status Runtime::AdminRpc(const std::function<Status()>& rpc) {
   Status st = rpc();
   for (int attempt = 1; attempt < kAdminRpcAttempts && IsTransient(st);

@@ -1,6 +1,7 @@
 #ifndef DINOMO_CORE_RECONFIG_H_
 #define DINOMO_CORE_RECONFIG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -90,8 +91,10 @@ class Runtime {
   }
   /// Fraction of the last `epoch_us` the KN was busy, given its workers'
   /// reported busy time.
-  virtual double Occupancy(uint64_t kn_id, double worker_busy_us,
-                           double epoch_us);
+  virtual double Occupancy(uint64_t /*kn_id*/, double worker_busy_us,
+                           double epoch_us) {
+    return epoch_us > 0 ? std::min(1.0, worker_busy_us / epoch_us) : 0.0;
+  }
   /// Called before the protocol drains the merge queues of the owners
   /// `which` selects synchronously on this thread: completes any of their
   /// batches the runtime has dequeued but not finished, so the drain
