@@ -19,8 +19,8 @@ void SpinFor(double us) {
 }
 
 // Admin-path RPC retry: reconfigurations are off the request path, so
-// they can wait out transient DPM rejections (injected or real) instead
-// of aborting a half-done ownership change. Bounded: ~6 ms worst case.
+// they wait out bursts of transient DPM rejections (a repair pass is many
+// RPCs) rather than abort. Bounded: 23 backoffs capped at 2 ms (~37 ms).
 Status RetryTransientRpc(const std::function<Status()>& rpc) {
   Backoff backoff(BackoffOptions{50.0, 2'000.0, 2.0, 0.5}, /*seed=*/11);
   Status st = rpc();

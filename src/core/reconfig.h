@@ -51,7 +51,7 @@ void SetFaultInjector(dpm::DpmPool* pool, net::FaultInjector* injector);
 class Runtime {
  public:
   /// Attempts per control-plane RPC before a transient rejection sticks.
-  static constexpr int kAdminRpcAttempts = 6;
+  static constexpr int kAdminRpcAttempts = 24;
 
   virtual ~Runtime() = default;
 

@@ -501,6 +501,7 @@ void DinomoSim::StopKn(uint64_t kn_id) {
 double DinomoSim::Occupancy(uint64_t kn_id, double, double epoch_us) {
   // The timing model's core occupancy, not the workers' CPU estimate.
   KnSim* k = FindKn(kn_id);
+  DINOMO_CHECK(k != nullptr);
   const double busy_us = std::exchange(k->busy_us_epoch, 0.0);
   const double per_worker_us = epoch_us * k->workers.size();
   return per_worker_us > 0 ? std::min(1.0, busy_us / per_worker_us) : 0.0;
