@@ -9,8 +9,9 @@
 // the CI smoke job finishes in seconds.
 //
 // The JSON report carries the metrics-registry snapshot (cache counters
-// etc. accumulated by the benchmark bodies); per-iteration timings stay
-// in google-benchmark's own output.
+// etc. accumulated by the benchmark bodies) and one `results` row per
+// google-benchmark run (GbenchJsonReporter below); the console output is
+// google-benchmark's usual table.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,49 @@
 #include <vector>
 
 #include "bench_json.h"
+
+namespace dinomo {
+namespace bench {
+
+/// Console reporter that also appends every run to a BenchReporter as a
+/// `results` row: name, real and CPU ns per iteration, iterations,
+/// items/s (when the benchmark set items processed) and its user
+/// counters. Errored runs are reported on the console only.
+class GbenchJsonReporter : public benchmark::ConsoleReporter {
+ public:
+  explicit GbenchJsonReporter(BenchReporter* out)
+      : benchmark::ConsoleReporter(OO_None), out_(out) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    benchmark::ConsoleReporter::ReportRuns(runs);
+    for (const Run& run : runs) {
+      if (run.error_occurred) continue;
+      const double to_ns = 1e9 / benchmark::GetTimeUnitMultiplier(
+                                     run.time_unit);
+      obs::Json row = obs::Json::Object();
+      row.Set("name", run.benchmark_name())
+          .Set("real_ns_per_iter", run.GetAdjustedRealTime() * to_ns)
+          .Set("cpu_ns_per_iter", run.GetAdjustedCPUTime() * to_ns)
+          .Set("iterations", static_cast<uint64_t>(run.iterations));
+      obs::Json counters = obs::Json::Object();
+      for (const auto& [name, counter] : run.counters) {
+        if (name == "items_per_second") {
+          row.Set("items_per_second", counter.value);
+        } else {
+          counters.Set(name, counter.value);
+        }
+      }
+      row.Set("counters", std::move(counters));
+      out_->Add(std::move(row));
+    }
+  }
+
+ private:
+  BenchReporter* out_;
+};
+
+}  // namespace bench
+}  // namespace dinomo
 
 #define DINOMO_GBENCH_MAIN(bench_name)                                       \
   int main(int argc, char** argv) {                                          \
@@ -44,7 +88,8 @@
     if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {    \
       return 1;                                                              \
     }                                                                        \
-    benchmark::RunSpecifiedBenchmarks();                                     \
+    dinomo::bench::GbenchJsonReporter display(&reporter);                    \
+    benchmark::RunSpecifiedBenchmarks(&display);                             \
     benchmark::Shutdown();                                                   \
     reporter.Config("runner", "google-benchmark");                           \
     return reporter.Finish() ? 0 : 1;                                        \

@@ -322,18 +322,24 @@ PmSkipList::RemoteHandle PmSkipList::FetchRemoteHandle(net::Fabric* fabric,
 
 bool PmSkipList::ReadRemoteNode(net::Fabric* fabric, int node, pm::PmPtr ptr,
                                 NodeImage* out) {
+  char raw[kNodeBytes] = {};
+  fabric->Read(node, ptr, raw, kNodeBytes);
+  return DecodeNode(raw, out);
+}
+
+bool PmSkipList::DecodeNode(const void* raw, NodeImage* out) {
   struct {
     NodeHeader nh;
     pm::PmPtr next[kMaxHeight];
-  } raw{};
-  static_assert(sizeof(raw) == kNodeBytes);
-  fabric->Read(node, ptr, &raw, kNodeBytes);
-  if (raw.nh.height < 1 || raw.nh.height > kMaxHeight) return false;
-  out->okey = raw.nh.okey;
-  out->value = raw.nh.value;
-  out->height = raw.nh.height;
-  out->key_hash = raw.nh.key_hash;
-  std::memcpy(out->next, raw.next, sizeof(out->next));
+  } img;
+  static_assert(sizeof(img) == kNodeBytes);
+  std::memcpy(&img, raw, kNodeBytes);
+  if (img.nh.height < 1 || img.nh.height > kMaxHeight) return false;
+  out->okey = img.nh.okey;
+  out->value = img.nh.value;
+  out->height = img.nh.height;
+  out->key_hash = img.nh.key_hash;
+  std::memcpy(out->next, img.next, sizeof(out->next));
   return true;
 }
 

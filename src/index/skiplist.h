@@ -131,6 +131,11 @@ class PmSkipList : public KvIndex {
   static bool ReadRemoteNode(net::Fabric* fabric, int node, pm::PmPtr ptr,
                              NodeImage* out);
 
+  /// Decodes a raw kNodeBytes node image fetched by any one-sided read
+  /// (e.g. one op of a doorbell batch). Same validity rule as
+  /// ReadRemoteNode.
+  static bool DecodeNode(const void* raw, NodeImage* out);
+
   /// Maps a variable-length key onto its ordering key: the big-endian
   /// value of the first 8 bytes, zero-padded. Bijective for the 8-byte
   /// workload keys; longer keys sharing a prefix alias to one slot.

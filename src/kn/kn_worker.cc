@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "cache/dac.h"
 #include "cache/static_cache.h"
@@ -65,7 +66,9 @@ KnWorker::KnWorker(const KnOptions& options, int worker_idx,
       metrics_(obs::Scope(WorkerPrefix("kn", options, worker_idx),
                           options.metrics)),
       ops_(metrics_.counter("ops")),
-      op_latency_us_(metrics_.histogram("op_latency_us")) {
+      op_latency_us_(metrics_.histogram("op_latency_us")),
+      scan_runs_prefetched_(metrics_.counter("scan_runs_prefetched")),
+      scan_runs_descended_(metrics_.counter("scan_runs_descended")) {
   const size_t shard_bytes =
       options_.cache_bytes / std::max(1, options_.num_workers);
   cache_ = MakeCache(options_, worker_idx, shard_bytes);
@@ -79,7 +82,11 @@ KnWorker::KnWorker(const KnOptions& options, int worker_idx,
   }
   index_handles_.resize(static_cast<size_t>(pool_->num_nodes()));
   known_index_epochs_.resize(static_cast<size_t>(pool_->num_nodes()), 0);
-  slc_.resize(static_cast<size_t>(pool_->num_nodes()));
+  // Learned leaf links cost at most as much DRAM as the worker's value
+  // cache shard, split across the DPM nodes' lists.
+  slc_.assign(static_cast<size_t>(pool_->num_nodes()),
+              SearchLayerCache(shard_bytes /
+                               static_cast<size_t>(pool_->num_nodes())));
   placement_gen_ = pool_->generation();
 }
 
@@ -1057,31 +1064,28 @@ OpResult KnWorker::DeleteImpl(const Slice& key) {
 }
 
 Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
+                          const std::vector<uint64_t>& deleted_hashes,
                           std::map<std::string, std::string>* merged) {
+  using index::PmSkipList;
   net::Fabric* fabric = node(n)->fabric();
   const pm::PmPtr header = node(n)->ordered()->header_ptr();
   SearchLayerCache& slc = slc_[static_cast<size_t>(n)];
-  if (!slc.EnsureFresh(fabric, options_.fabric_node, header,
-                       placement_gen_)) {
-    return Status::Unavailable("ordered-index search layer unavailable");
-  }
 
   // Node images fetched during this op, keyed by PM pointer: the descent
   // revisits its down-level successors, and a node already read this op
-  // costs no second fabric round (its image sits in worker DRAM).
-  std::unordered_map<pm::PmPtr, index::PmSkipList::NodeImage> images;
-  auto read_node = [&](pm::PmPtr p,
-                       index::PmSkipList::NodeImage** img) -> Status {
+  // (or prefetched) costs no second fabric round.
+  std::unordered_map<pm::PmPtr, PmSkipList::NodeImage> images;
+  auto read_node = [&](pm::PmPtr p, PmSkipList::NodeImage** img) -> Status {
     auto it = images.find(p);
     if (it != images.end()) {
       *img = &it->second;
       return Status::Ok();
     }
-    index::PmSkipList::NodeImage fresh;
+    PmSkipList::NodeImage fresh;
     Status fault = Status::Ok();
     for (int attempt = 0; attempt < kReadRetries; ++attempt) {
       (void)net::Fabric::TakePendingFault();
-      const bool ok = index::PmSkipList::ReadRemoteNode(
+      const bool ok = PmSkipList::ReadRemoteNode(
           fabric, options_.fabric_node, p, &fresh);
       fault = net::Fabric::TakePendingFault();
       if (ok && fault.ok()) {
@@ -1092,72 +1096,134 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
     return fault.ok() ? Status::IoError("unreadable skiplist node") : fault;
   };
 
-  // Remote descent below the cached layer: the cached predecessor starts
-  // at most kSearchLayerHeight levels above the leaves, so the descent is
-  // O(kSearchLayerHeight) expected hops instead of O(log n).
-  pm::PmPtr cur = slc.Seek(start_okey);
-  index::PmSkipList::NodeImage* img = nullptr;
-  DINOMO_RETURN_IF_ERROR(read_node(cur, &img));
-  for (int level = index::PmSkipList::kSearchLayerHeight - 1; level >= 0;
-       --level) {
-    while (level < static_cast<int>(img->height)) {
-      const pm::PmPtr nxt = img->next[level];
-      if (nxt == pm::kNullPmPtr) break;
-      index::PmSkipList::NodeImage* nimg = nullptr;
-      DINOMO_RETURN_IF_ERROR(read_node(nxt, &nimg));
-      if (nimg->okey >= start_okey) break;
-      cur = nxt;
-      img = nimg;
+  PmSkipList::NodeImage* img = nullptr;
+  std::vector<pm::PmPtr> run;
+  if (slc.PredictRun(header, placement_gen_, start_okey, limit, &run)) {
+    // Warm path: the learned links name the start key's exact predecessor
+    // and its successors; fetch them all in ONE doorbell round. Stale
+    // links are harmless — the walk below follows only the images' real
+    // next[0] pointers, so the prefetch can only be unused, never wrong.
+    std::vector<char> raw(run.size() * PmSkipList::kNodeBytes);
+    net::Fabric::OpBatch batch(fabric, options_.fabric_node);
+    for (size_t i = 0; i < run.size(); ++i) {
+      batch.AddRead(run[i], &raw[i * PmSkipList::kNodeBytes],
+                    PmSkipList::kNodeBytes);
     }
+    (void)net::Fabric::TakePendingFault();
+    batch.Execute();
+    // A dropped read zero-fills its image, which fails to decode and
+    // stays out of the memo: the walk re-reads that node on its own.
+    (void)net::Fabric::TakePendingFault();
+    for (size_t i = 0; i < run.size(); ++i) {
+      PmSkipList::NodeImage decoded;
+      if (PmSkipList::DecodeNode(&raw[i * PmSkipList::kNodeBytes],
+                                 &decoded)) {
+        images.emplace(run[i], decoded);
+      }
+    }
+    DINOMO_RETURN_IF_ERROR(read_node(run.front(), &img));
+    scan_runs_prefetched_.Inc();
+  } else {
+    // Cold path: position via the cached search layer. The cached
+    // predecessor starts at most kSearchLayerHeight levels above the
+    // leaves, so the descent is O(kSearchLayerHeight) expected hops
+    // instead of O(log n).
+    if (!slc.EnsureFresh(fabric, options_.fabric_node, header,
+                         placement_gen_)) {
+      return Status::Unavailable("ordered-index search layer unavailable");
+    }
+    pm::PmPtr cur = slc.Seek(start_okey);
+    DINOMO_RETURN_IF_ERROR(read_node(cur, &img));
+    for (int level = PmSkipList::kSearchLayerHeight - 1; level >= 0;
+         --level) {
+      while (level < static_cast<int>(img->height)) {
+        const pm::PmPtr nxt = img->next[level];
+        if (nxt == pm::kNullPmPtr) break;
+        PmSkipList::NodeImage* nimg = nullptr;
+        DINOMO_RETURN_IF_ERROR(read_node(nxt, &nimg));
+        if (nimg->okey >= start_okey) break;
+        cur = nxt;
+        img = nimg;
+      }
+    }
+    scan_runs_descended_.Inc();
   }
 
-  // Level-0 leaf walk: dependent one-sided reads collecting the live
-  // rows' value pointers (tombstones cost a node read but yield no row).
+  // Level-0 leaf walk from the predecessor, following real next[0]
+  // pointers: memo hits are free, anything else (a node inserted since
+  // the links were learned) is one dependent read. Tombstones yield no
+  // row, and rows this worker deleted but has not merged yet do not
+  // count toward the window (the overlay erases them).
   struct Pending {
     uint64_t key_hash;
     dpm::ValuePtr vp;
   };
   std::vector<Pending> pend;
+  uint32_t live = 0;
   pm::PmPtr p = img->next[0];
-  while (p != pm::kNullPmPtr && pend.size() < limit) {
-    index::PmSkipList::NodeImage* pi = nullptr;
+  while (p != pm::kNullPmPtr && live < limit) {
+    PmSkipList::NodeImage* pi = nullptr;
     DINOMO_RETURN_IF_ERROR(read_node(p, &pi));
     if (pi->okey >= start_okey && !pi->tombstone()) {
       pend.push_back(Pending{pi->key_hash, dpm::ValuePtr(pi->value)});
+      if (!std::binary_search(deleted_hashes.begin(), deleted_hashes.end(),
+                              pi->key_hash)) {
+        ++live;
+      }
     }
     p = pi->next[0];
+  }
+
+  // Teach the cache every image this scan read (the descent's included);
+  // Learn writes only links it did not already hold.
+  for (const auto& [ptr, image] : images) {
+    slc.Learn(image.okey, ptr, image.next[0]);
   }
   if (pend.empty()) return Status::Ok();
 
   // ONE fused value-read round for the whole leaf run (the doorbell
-  // OpBatch path): N entry reads, one fabric round trip.
+  // OpBatch path). A dropped read zero-fills its entry, so a row that
+  // fails to decode while a fault is parked is re-read (all such rows in
+  // one round, bounded retries); the scan fails with the fault rather
+  // than silently coming back short.
   std::vector<std::string> bufs(pend.size());
-  net::Fabric::OpBatch batch(fabric, options_.fabric_node);
+  std::vector<size_t> todo(pend.size());
   for (size_t i = 0; i < pend.size(); ++i) {
     bufs[i].resize(pend[i].vp.entry_size());
-    batch.AddRead(pend[i].vp.offset(), bufs[i].data(), bufs[i].size());
+    todo[i] = i;
   }
-  (void)net::Fabric::TakePendingFault();
-  batch.Execute();
-  (void)net::Fabric::TakePendingFault();
-
-  for (size_t i = 0; i < pend.size(); ++i) {
-    dpm::LogRecord rec;
-    size_t consumed = 0;
-    Status st =
-        dpm::DecodeEntry(bufs[i].data(), bufs[i].size(), &rec, &consumed);
-    // A row that fails to decode — a dropped fused read (zero fill) or an
-    // entry GC'd between the index walk and the value read — is skipped
-    // rather than failing the scan; the fingerprint check rejects entries
-    // whose segment was reused.
-    if (!st.ok() || rec.key_hash != pend[i].key_hash ||
-        rec.op != dpm::LogOp::kPut) {
-      continue;
+  for (int attempt = 0; !todo.empty(); ++attempt) {
+    net::Fabric::OpBatch batch(fabric, options_.fabric_node);
+    for (size_t i : todo) {
+      batch.AddRead(pend[i].vp.offset(), bufs[i].data(), bufs[i].size());
     }
-    // emplace: first writer wins, so a mirror's identical copy of a
-    // replicated row never duplicates (or clobbers) the primary's.
-    merged->emplace(std::string(rec.key.data(), rec.key.size()),
-                    std::string(rec.value.data(), rec.value.size()));
+    (void)net::Fabric::TakePendingFault();
+    batch.Execute();
+    const Status fault = net::Fabric::TakePendingFault();
+    std::vector<size_t> dropped;
+    for (size_t i : todo) {
+      dpm::LogRecord rec;
+      size_t consumed = 0;
+      Status st =
+          dpm::DecodeEntry(bufs[i].data(), bufs[i].size(), &rec, &consumed);
+      if (!st.ok() && !fault.ok()) {
+        dropped.push_back(i);
+        continue;
+      }
+      // Without a parked fault, an undecodable entry was GC'd between the
+      // index walk and the value read, and a fingerprint mismatch means
+      // its segment was reused: the row is genuinely gone.
+      if (!st.ok() || rec.key_hash != pend[i].key_hash ||
+          rec.op != dpm::LogOp::kPut) {
+        continue;
+      }
+      // emplace: first writer wins, so a mirror's identical copy of a
+      // replicated row never duplicates (or clobbers) the primary's.
+      merged->emplace(std::string(rec.key.data(), rec.key.size()),
+                      std::string(rec.value.data(), rec.value.size()));
+    }
+    if (!dropped.empty() && attempt + 1 >= kReadRetries) return fault;
+    todo.swap(dropped);
   }
   return Status::Ok();
 }
@@ -1178,23 +1244,11 @@ OpResult KnWorker::ScanImpl(const Slice& start_key, uint32_t scan_len,
   const uint64_t start_okey =
       index::PmSkipList::OrderedKey(start_key.data(), start_key.size());
 
-  // Keys hash-partition across DPM nodes, so a key *range* spans all of
-  // them: collect each alive node's run and merge by key (lexicographic
-  // order == okey-major order, the ordered index's sort key).
-  std::map<std::string, std::string> merged;
-  for (int n = 0; n < pool_->num_nodes(); ++n) {
-    if (!pool_->alive(n)) continue;
-    Status st = ScanNode(n, start_okey, scan_len, &merged);
-    if (!st.ok()) {
-      out.status = st;
-      return out;
-    }
-  }
-
-  // Overlay this worker's not-yet-merged writes, which are authoritative
-  // for its partition (§4): oldest batch first, the in-flight builders
-  // last, so a key's newest entry wins.
-  auto overlay = [&](const char* data, size_t len) {
+  // This worker's not-yet-merged writes, which are authoritative for its
+  // partition (§4): oldest batch first, the in-flight builders last, so a
+  // key's newest entry wins. nullopt marks a delete.
+  std::map<std::string, std::optional<std::string>> overlay;
+  auto collect = [&](const char* data, size_t len) {
     out.cpu_us += options_.cpu_segment_scan_us;
     dpm::LogIterator it(data, len);
     dpm::LogRecord rec;
@@ -1202,21 +1256,48 @@ OpResult KnWorker::ScanImpl(const Slice& start_key, uint32_t scan_len,
       std::string k(rec.key.data(), rec.key.size());
       if (k < start) continue;
       if (rec.op == dpm::LogOp::kPut) {
-        merged[std::move(k)] = std::string(rec.value.data(),
-                                           rec.value.size());
+        overlay[std::move(k)] = std::string(rec.value.data(),
+                                            rec.value.size());
       } else {
-        merged.erase(k);
+        overlay[std::move(k)] = std::nullopt;
       }
     }
   };
   {
     MutexLock lock(batches_mu_);
     for (const CachedBatch& b : unmerged_batches_) {
-      overlay(b.bytes.data(), b.bytes.size());
+      collect(b.bytes.data(), b.bytes.size());
     }
   }
   for (const auto& [pkey, ws] : write_states_) {
-    if (ws.batch.entries() > 0) overlay(ws.batch.data(), ws.batch.bytes());
+    if (ws.batch.entries() > 0) collect(ws.batch.data(), ws.batch.bytes());
+  }
+  // The leaf walks skip these rows when counting the window, so a run
+  // still yields scan_len rows after the overlay erases them.
+  std::vector<uint64_t> deleted_hashes;
+  for (const auto& [k, v] : overlay) {
+    if (!v.has_value()) deleted_hashes.push_back(KeyHash(Slice(k)));
+  }
+  std::sort(deleted_hashes.begin(), deleted_hashes.end());
+
+  // Keys hash-partition across DPM nodes, so a key *range* spans all of
+  // them: collect each alive node's run and merge by key (lexicographic
+  // order == okey-major order, the ordered index's sort key).
+  std::map<std::string, std::string> merged;
+  for (int n = 0; n < pool_->num_nodes(); ++n) {
+    if (!pool_->alive(n)) continue;
+    Status st = ScanNode(n, start_okey, scan_len, deleted_hashes, &merged);
+    if (!st.ok()) {
+      out.status = st;
+      return out;
+    }
+  }
+  for (auto& [k, v] : overlay) {
+    if (v.has_value()) {
+      merged[k] = std::move(*v);
+    } else {
+      merged.erase(k);
+    }
   }
 
   rows->reserve(std::min<size_t>(merged.size(), scan_len));

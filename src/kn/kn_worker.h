@@ -225,10 +225,12 @@ class KnWorker {
   OpResult Delete(const Slice& key) { return Finish(DeleteImpl(key)); }
 
   /// Range scan (YCSB-E): up to `scan_len` rows with key >= start_key in
-  /// ascending key order, resolved against the ordered DPM index. The
-  /// start position comes from the KN-cached search layer; the leaf walk
-  /// is one-sided node reads; each DPM node's surviving value reads fuse
-  /// into ONE OpBatch round. Results reflect merged DPM state overlaid
+  /// ascending key order, resolved against the ordered DPM index. A warm
+  /// scan prefetches its predicted leaf run in one OpBatch round from the
+  /// learned leaf links; a cold one descends from the KN-cached search
+  /// layer and walks the leaves with dependent one-sided reads. Each DPM
+  /// node's value reads then fuse into ONE OpBatch round (a warm scan is
+  /// two round trips per DPM node). Results reflect merged DPM state overlaid
   /// with THIS worker's own un-merged writes — scans are not linearizable
   /// against other workers' in-flight inserts (see DESIGN.md).
   OpResult Scan(const Slice& start_key, uint32_t scan_len,
@@ -384,10 +386,13 @@ class KnWorker {
   OpResult DeleteImpl(const Slice& key);
   OpResult ScanImpl(const Slice& start_key, uint32_t scan_len,
                     std::vector<ScanRow>* rows) EXCLUDES(batches_mu_);
-  /// One DPM node's contribution to a scan: position via the cached
-  /// search layer, walk level 0, fuse the value reads, decode into
+  /// One DPM node's contribution to a scan: position via the learned
+  /// leaf links (one prefetch round) or the cached search layer, walk
+  /// level 0 until `limit` rows whose key hash is not in the sorted
+  /// `deleted_hashes` are found, fuse the value reads, decode into
   /// *merged (first writer wins — replicas carry identical rows).
   Status ScanNode(int n, uint64_t start_okey, uint32_t limit,
+                  const std::vector<uint64_t>& deleted_hashes,
                   std::map<std::string, std::string>* merged);
 
   void TrackAccess(uint64_t key_hash);
@@ -401,6 +406,10 @@ class KnWorker {
   obs::MetricGroup metrics_;  // kn.kn<id>.w<idx>.*
   obs::Counter& ops_;
   obs::HistogramMetric& op_latency_us_;
+  // Per-DPM-node scan positioning: from the learned leaf links (one
+  // prefetch round) vs. a search-layer descent.
+  obs::Counter& scan_runs_prefetched_;
+  obs::Counter& scan_runs_descended_;
   std::shared_ptr<const cluster::RoutingTable> routing_;
   std::unique_ptr<cache::KnCache> cache_;
   std::unique_ptr<IndexCache> icache_;

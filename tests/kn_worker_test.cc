@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "dpm/dpm_node.h"
 #include "dpm/dpm_pool.h"
 #include "kn/kn_worker.h"
+#include "net/fault.h"
 
 namespace dinomo {
 namespace kn {
@@ -413,11 +416,19 @@ TEST_F(KnWorkerTest, ScanStartingOnASearchLayerNodeReturnsIt) {
   std::vector<ScanRow> rows;
   ASSERT_TRUE(worker_->Scan(Slice(ScanKey(0)), 1, &rows).status.ok());
   ASSERT_GT(worker_->search_layer(0).size(), 0u);
-  for (int i = 0; i < kKeys; ++i) {
-    ASSERT_TRUE(worker_->Scan(Slice(ScanKey(i)), 2, &rows).status.ok());
-    ASSERT_FALSE(rows.empty()) << ScanKey(i);
-    EXPECT_EQ(rows[0].key, ScanKey(i));
-    EXPECT_EQ(rows[0].value, "v" + std::to_string(i));
+  // The first pass positions by descent; the second runs from the leaf
+  // links the first pass taught the cache.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < kKeys; ++i) {
+      auto r = worker_->Scan(Slice(ScanKey(i)), 2, &rows);
+      ASSERT_TRUE(r.status.ok());
+      ASSERT_FALSE(rows.empty()) << ScanKey(i);
+      EXPECT_EQ(rows[0].key, ScanKey(i));
+      EXPECT_EQ(rows[0].value, "v" + std::to_string(i));
+      if (pass == 1) {
+        EXPECT_LE(r.cost.round_trips, 3u) << ScanKey(i);
+      }
+    }
   }
 }
 
@@ -486,6 +497,190 @@ TEST_F(KnWorkerTest, SearchLayerCacheReusedAcrossScans) {
   // Ownership change invalidates the cached layer like the index caches.
   worker_->ResetForOwnershipChange();
   EXPECT_FALSE(worker_->search_layer(0).valid());
+}
+
+// ----- Learned leaf links (warm scans) -----
+
+std::vector<std::string> Keys(const std::vector<ScanRow>& rows) {
+  std::vector<std::string> keys;
+  for (const ScanRow& row : rows) keys.push_back(row.key);
+  return keys;
+}
+
+TEST_F(KnWorkerTest, RescanOfAWalkedRangeCostsAtMostThreeRoundTrips) {
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(worker_->Put(ScanKey(i), "v" + std::to_string(i)).status.ok());
+  }
+  ASSERT_TRUE(worker_->DrainLog().ok());
+  std::vector<ScanRow> cold;
+  auto first = worker_->Scan(Slice(ScanKey(50)), 16, &cold);
+  ASSERT_TRUE(first.status.ok());
+  ASSERT_EQ(cold.size(), 16u);
+  EXPECT_GT(worker_->search_layer(0).links(), 0u);
+
+  // The same range again, and a window inside it: the learned links name
+  // the exact predecessor, so one prefetch round plus one value round.
+  std::vector<ScanRow> warm;
+  auto again = worker_->Scan(Slice(ScanKey(50)), 16, &warm);
+  ASSERT_TRUE(again.status.ok());
+  EXPECT_EQ(Keys(warm), Keys(cold));
+  EXPECT_LE(again.cost.round_trips, 3u);
+  EXPECT_LT(again.cost.round_trips, first.cost.round_trips);
+  auto inner = worker_->Scan(Slice(ScanKey(55)), 8, &warm);
+  ASSERT_TRUE(inner.status.ok());
+  ASSERT_EQ(warm.size(), 8u);
+  EXPECT_EQ(warm[0].key, ScanKey(55));
+  EXPECT_LE(inner.cost.round_trips, 3u);
+}
+
+TEST_F(KnWorkerTest, KeyMergedIntoACachedGapShowsUpInTheNextScan) {
+  for (int i = 0; i < 40; i += 2) {  // even keys only
+    ASSERT_TRUE(worker_->Put(ScanKey(i), "v").status.ok());
+  }
+  ASSERT_TRUE(worker_->DrainLog().ok());
+  std::vector<ScanRow> rows;
+  ASSERT_TRUE(worker_->Scan(Slice(ScanKey(0)), 10, &rows).status.ok());
+  ASSERT_TRUE(worker_->Scan(Slice(ScanKey(0)), 10, &rows).status.ok());
+
+  // k005 lands between two learned links; merged, so it is no longer in
+  // this worker's overlay and must come from the DPM leaf walk.
+  ASSERT_TRUE(worker_->Put(ScanKey(5), "new").status.ok());
+  ASSERT_TRUE(worker_->DrainLog().ok());
+  ASSERT_TRUE(worker_->UnmergedBatchBases().empty());
+  ASSERT_TRUE(worker_->Scan(Slice(ScanKey(1)), 4, &rows).status.ok());
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[0].key, ScanKey(2));
+  EXPECT_EQ(rows[1].key, ScanKey(4));
+  EXPECT_EQ(rows[2].key, ScanKey(5));
+  EXPECT_EQ(rows[2].value, "new");
+  EXPECT_EQ(rows[3].key, ScanKey(6));
+}
+
+TEST_F(KnWorkerTest, OwnershipResetKeepsScanRows) {
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(worker_->Put(ScanKey(i), "v" + std::to_string(i)).status.ok());
+  }
+  ASSERT_TRUE(worker_->DrainLog().ok());
+  std::vector<ScanRow> before;
+  ASSERT_TRUE(worker_->Scan(Slice(ScanKey(30)), 12, &before).status.ok());
+  ASSERT_TRUE(worker_->Scan(Slice(ScanKey(30)), 12, &before).status.ok());
+  ASSERT_EQ(before.size(), 12u);
+
+  worker_->ResetForOwnershipChange();
+  EXPECT_EQ(worker_->search_layer(0).links(), 0u);
+  std::vector<ScanRow> after;
+  ASSERT_TRUE(worker_->Scan(Slice(ScanKey(30)), 12, &after).status.ok());
+  EXPECT_EQ(Keys(after), Keys(before));
+}
+
+TEST_F(KnWorkerTest, PlacementGenerationChangeKeepsScanRows) {
+  // Two mirrored DPM nodes: killing one bumps the placement generation,
+  // which must drop every learned link (they name the old placement's
+  // pools) without changing what a scan returns.
+  dpm::DpmPoolOptions popt;
+  popt.nodes = 2;
+  popt.replication_factor = 2;
+  popt.dpm = SmallDpm();
+  dpm::DpmPool pool(popt);
+  KnOptions kno;
+  kno.kn_id = 2;
+  kno.fabric_node = 1;
+  kno.cache_bytes = 1 * kMiB;
+  KnWorker worker(kno, 0, &pool);
+  for (int n = 0; n < pool.num_nodes(); ++n) {
+    pool.node(n)->merge()->SetMergeCallback(
+        [&worker](const dpm::MergeAck& ack) {
+          if (ack.owner == worker.log_owner()) {
+            worker.OnOwnerBatchMerged(ack.node, ack.base);
+          }
+        });
+  }
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(worker.Put(ScanKey(i), "v" + std::to_string(i)).status.ok());
+  }
+  ASSERT_TRUE(worker.DrainLog().ok());
+  std::vector<ScanRow> before;
+  ASSERT_TRUE(worker.Scan(Slice(ScanKey(20)), 10, &before).status.ok());
+  auto warm = worker.Scan(Slice(ScanKey(20)), 10, &before);
+  ASSERT_TRUE(warm.status.ok());
+  ASSERT_EQ(before.size(), 10u);
+  EXPECT_LE(warm.cost.round_trips, 2u * 3u);  // <= 3 per DPM node
+  ASSERT_GT(worker.search_layer(0).links(), 0u);
+
+  const uint64_t gen = pool.generation();
+  ASSERT_TRUE(pool.KillNode(1).ok());
+  ASSERT_GT(pool.generation(), gen);
+  std::vector<ScanRow> after;
+  ASSERT_TRUE(worker.Scan(Slice(ScanKey(20)), 10, &after).status.ok());
+  EXPECT_EQ(Keys(after), Keys(before));
+  EXPECT_EQ(worker.search_layer(1).links(), 0u);
+}
+
+TEST_F(KnWorkerTest, DroppedSpeculativeBatchFallsBackToTheSameRows) {
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(worker_->Put(ScanKey(i), "v" + std::to_string(i)).status.ok());
+  }
+  ASSERT_TRUE(worker_->DrainLog().ok());
+  std::vector<ScanRow> expect;
+  ASSERT_TRUE(worker_->Scan(Slice(ScanKey(10)), 8, &expect).status.ok());
+  ASSERT_EQ(expect.size(), 8u);
+
+  // Drop exactly the next scan's speculative node batch: the predecessor
+  // and its 8 learned successors. The walk must re-read them one by one.
+  net::FaultSchedule schedule;
+  schedule.Drop(/*node=*/-1, /*probability=*/1.0);
+  schedule.events.back().max_count = 9;
+  obs::MetricsRegistry reg;
+  net::FaultInjector injector(schedule, &reg);
+  dpm_.fabric()->SetFaultInjector(&injector);
+  std::vector<ScanRow> rows;
+  auto r = worker_->Scan(Slice(ScanKey(10)), 8, &rows);
+  dpm_.fabric()->SetFaultInjector(nullptr);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(Keys(rows), Keys(expect));
+  EXPECT_GT(r.cost.round_trips, 3u);  // paid the per-node fallback
+}
+
+TEST_F(KnWorkerTest, DroppedValueReadsNeverShortenAScan) {
+  constexpr int kKeys = 40;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(worker_->Put(ScanKey(i), "v" + std::to_string(i)).status.ok());
+  }
+  ASSERT_TRUE(worker_->DrainLog().ok());
+  net::FaultSchedule schedule;
+  schedule.Drop(/*node=*/-1, /*probability=*/0.05);
+  obs::MetricsRegistry reg;
+  net::FaultInjector injector(schedule, &reg);
+  dpm_.fabric()->SetFaultInjector(&injector);
+  int ok = 0;
+  for (int n = 0; n < 300; ++n) {
+    const int start = n % kKeys;
+    std::vector<ScanRow> rows;
+    auto r = worker_->Scan(Slice(ScanKey(start)), 10, &rows);
+    if (!r.status.ok()) continue;  // a surfaced fault is fine
+    ++ok;
+    // An OK scan is never silently short.
+    const size_t want = static_cast<size_t>(std::min(10, kKeys - start));
+    ASSERT_EQ(rows.size(), want) << "scan from " << ScanKey(start);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].key, ScanKey(start + static_cast<int>(i)));
+    }
+  }
+  dpm_.fabric()->SetFaultInjector(nullptr);
+  EXPECT_GT(ok, 250);  // retries absorb almost every drop
+}
+
+TEST_F(KnWorkerTest, ScanFillsTheWindowPastAnUnmergedDelete) {
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(worker_->Put(ScanKey(i), "v").status.ok());
+  }
+  ASSERT_TRUE(worker_->DrainLog().ok());
+  ASSERT_TRUE(worker_->Delete(ScanKey(3)).status.ok());
+  std::vector<ScanRow> rows;
+  ASSERT_TRUE(worker_->Scan(Slice(ScanKey(0)), 5, &rows).status.ok());
+  EXPECT_EQ(Keys(rows), (std::vector<std::string>{ScanKey(0), ScanKey(1),
+                                                  ScanKey(2), ScanKey(4),
+                                                  ScanKey(5)}));
 }
 
 // Shared (selectively replicated) keys.

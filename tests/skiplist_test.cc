@@ -238,6 +238,94 @@ TEST_F(SkipListTest, SearchLayerCacheSeeksAndCachesByGeneration) {
   EXPECT_FALSE(slc.valid());
 }
 
+// Walks level 0 remotely, teaching `slc` every node's link (head first);
+// returns the node pointers in list order, head excluded.
+std::vector<pm::PmPtr> LearnWholeList(net::Fabric* fabric, pm::PmPtr head,
+                                      kn::SearchLayerCache* slc) {
+  std::vector<pm::PmPtr> nodes;
+  PmSkipList::NodeImage img;
+  pm::PmPtr p = head;
+  while (p != pm::kNullPmPtr) {
+    EXPECT_TRUE(PmSkipList::ReadRemoteNode(fabric, 1, p, &img));
+    slc->Learn(img.okey, p, img.next[0]);
+    if (p != head) nodes.push_back(p);
+    p = img.next[0];
+  }
+  return nodes;
+}
+
+TEST_F(SkipListTest, SearchLayerCachePredictsRunsFromLearnedLinks) {
+  for (uint64_t k = 1; k <= 2000; ++k) {
+    ASSERT_TRUE(list_->Upsert(2 * k, Val(k)).ok());  // even okeys 2..4000
+  }
+  kn::SearchLayerCache slc(/*link_budget_bytes=*/1 << 20);
+  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 3));
+  std::vector<pm::PmPtr> run;
+  EXPECT_FALSE(slc.PredictRun(list_->header_ptr(), 3, 10, 4, &run));
+
+  const std::vector<pm::PmPtr> nodes =
+      LearnWholeList(&fabric_, slc.head(), &slc);
+  ASSERT_EQ(nodes.size(), 2000u);
+  EXPECT_EQ(slc.links(), 2000u);
+  // Re-learning unchanged links writes nothing new.
+  LearnWholeList(&fabric_, slc.head(), &slc);
+  EXPECT_EQ(slc.links(), 2000u);
+
+  // Start 11 (absent) and 12 (present) share the predecessor okey 10,
+  // i.e. nodes[4]; the run is it plus `limit` successors.
+  for (uint64_t start : {11u, 12u}) {
+    ASSERT_TRUE(slc.PredictRun(list_->header_ptr(), 3, start, 4, &run));
+    EXPECT_EQ(run, std::vector<pm::PmPtr>(nodes.begin() + 4,
+                                          nodes.begin() + 9));
+  }
+  // Before every key the predecessor is the head; past the end the tail
+  // alone (its learned link is null).
+  ASSERT_TRUE(slc.PredictRun(list_->header_ptr(), 3, 1, 2, &run));
+  EXPECT_EQ(run, (std::vector<pm::PmPtr>{slc.head(), nodes[0], nodes[1]}));
+  ASSERT_TRUE(slc.PredictRun(list_->header_ptr(), 3, 9000, 4, &run));
+  EXPECT_EQ(run, std::vector<pm::PmPtr>{nodes.back()});
+  // Another generation or list header predicts nothing.
+  EXPECT_FALSE(slc.PredictRun(list_->header_ptr(), 4, 12, 4, &run));
+  EXPECT_FALSE(slc.PredictRun(list_->header_ptr() + 64, 3, 12, 4, &run));
+
+  // Links only predict. One made stale by an insert (13 lands between
+  // the learned 12 -> 14) still predicts the old run; a link that does
+  // not name the next learned node ends the run there.
+  ASSERT_TRUE(list_->Upsert(13, Val(13)).ok());
+  ASSERT_TRUE(slc.PredictRun(list_->header_ptr(), 3, 7, 6, &run));
+  EXPECT_EQ(run.size(), 7u);
+  slc.Learn(12, nodes[5], /*next=*/list_->header_ptr());
+  ASSERT_TRUE(slc.PredictRun(list_->header_ptr(), 3, 7, 6, &run));
+  EXPECT_EQ(run, std::vector<pm::PmPtr>(nodes.begin() + 2,
+                                        nodes.begin() + 6));
+  EXPECT_FALSE(slc.PredictRun(list_->header_ptr(), 3, 13, 6, &run));
+
+  // A rebuild for a new generation drops every link.
+  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 4));
+  EXPECT_EQ(slc.links(), 0u);
+}
+
+TEST_F(SkipListTest, SearchLayerCacheLinksStayWithinBudget) {
+  for (uint64_t k = 1; k <= 5000; ++k) {
+    ASSERT_TRUE(list_->Upsert(k, Val(k)).ok());
+  }
+  constexpr size_t kBudget = 32 * 1024;
+  kn::SearchLayerCache slc(kBudget);
+  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 1));
+  LearnWholeList(&fabric_, slc.head(), &slc);
+  EXPECT_GT(slc.links(), 0u);
+  EXPECT_LE(slc.links() * sizeof(kn::SearchLayerCache::Link), kBudget);
+  // The recently learned tail survives eviction and still predicts.
+  std::vector<pm::PmPtr> run;
+  EXPECT_TRUE(slc.PredictRun(list_->header_ptr(), 1, 4990, 5, &run));
+  EXPECT_EQ(run.size(), 6u);
+  // No budget, no links (the head's own link is free).
+  kn::SearchLayerCache none;
+  ASSERT_TRUE(none.EnsureFresh(&fabric_, 1, list_->header_ptr(), 1));
+  LearnWholeList(&fabric_, none.head(), &none);
+  EXPECT_EQ(none.links(), 0u);
+}
+
 // ----- Crash-recovery properties -----
 
 class SkipListCrashTest : public ::testing::Test {
