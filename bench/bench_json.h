@@ -16,14 +16,20 @@
 //                       Finish(); the trace.* attribution summary is also
 //                       published so it lands in the --json_out metrics.
 //
-// scripts/check_bench_json.py consumes these reports in CI and gates on
-// drift of key steady-state figures (e.g. DINOMO round trips per op).
+// A bench states what its run must show with Gate(): each gate lands in
+// the report's top-level "gates" list, outside config and results (so it
+// never moves a sim digest), and scripts/check_bench_json.py evaluates
+// every gate of every report in CI. Finish() adds the gates all benches
+// share: PM-checker violations and hung requests stay zero, a traced run
+// keeps its dual round-trip counters in step, and a seeded sim (a "seed"
+// config entry) shows fabric traffic.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -45,12 +51,18 @@ inline std::string GitSha() {
 #endif
 }
 
+/// A gate bound that is `scale` times the value at another report path.
+inline obs::Json Times(double scale, const std::string& metric) {
+  return obs::Json::Object().Set("metric", metric).Set("scale", scale);
+}
+
 class BenchReporter {
  public:
   BenchReporter(const std::string& bench_name, int argc, char** argv)
       : name_(bench_name),
         config_(obs::Json::Object()),
-        results_(obs::Json::Array()) {
+        results_(obs::Json::Array()),
+        gates_(obs::Json::Array()) {
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
       if (std::strncmp(arg, "--json_out=", 11) == 0) {
@@ -107,6 +119,22 @@ class BenchReporter {
     return *this;
   }
 
+  /// Declares a CI gate: the value at `metric` must compare `cmp` ("<",
+  /// "<=", ">", ">=" or "==") against `bound`, a constant or Times(...).
+  /// A metric is a path into the report: "config.base_kns",
+  /// "metrics.counters.fault.hung_requests", or a results row picked by
+  /// its fields, "results[section=summary].scale_ups". A "*" in a metric
+  /// name sums every matching metric. `why` says what a failure means.
+  BenchReporter& Gate(const std::string& metric, const std::string& cmp,
+                      obs::Json bound, const std::string& why) {
+    gates_.Append(obs::Json::Object()
+                      .Set("metric", metric)
+                      .Set("cmp", cmp)
+                      .Set("bound", std::move(bound))
+                      .Set("why", why));
+    return *this;
+  }
+
   /// Writes the report (if --json_out was given). Called automatically on
   /// destruction; call explicitly to check for write errors.
   bool Finish(const obs::MetricsRegistry& registry =
@@ -128,6 +156,8 @@ class BenchReporter {
       }
     }
     if (json_out_.empty()) return ok;
+    const obs::MetricsSnapshot snap = registry.Snapshot();
+    SharedGates(snap);
     obs::Json root = obs::Json::Object();
     root.Set("schema", "dinomo-bench-v1");
     root.Set("bench", name_);
@@ -135,7 +165,8 @@ class BenchReporter {
     root.Set("git_sha", GitSha());
     root.Set("config", config_);
     root.Set("results", results_);
-    root.Set("metrics", registry.Snapshot().ToJson());
+    root.Set("gates", gates_);
+    root.Set("metrics", snap.ToJson());
     std::ofstream out(json_out_, std::ios::trunc);
     out << root.Dump(2) << "\n";
     out.flush();
@@ -149,6 +180,41 @@ class BenchReporter {
   }
 
  private:
+  // The gates every bench shares, emitted from the final metrics.
+  void SharedGates(const obs::MetricsSnapshot& snap) {
+    for (const char* name :
+         {"pm.check.violations", "pm.check.dirty_at_publication",
+          "pm.check.redundant_flush", "pm.check.persist_before_write"}) {
+      if (snap.counters.count(name) == 0) continue;  // checker not attached
+      Gate(std::string("metrics.counters.") + name, "==", 0,
+           "persist-ordering violation on the bench workload path; "
+           "reproduce with DINOMO_PM_CHECK=1 and read PmChecker::Report()");
+    }
+    if (snap.counters.count("fault.hung_requests") != 0) {
+      Gate("metrics.counters.fault.hung_requests", "==", 0,
+           "a client future was left pending when its KN stopped; the "
+           "KvsNode drain guarantee is broken");
+    }
+    if (!trace_out_.empty()) {
+      const std::string why =
+          "trace-derived round trips differ from the OpCost aggregate by "
+          "more than 1%: a fabric op is traced without being charged, or "
+          "vice versa";
+      const char* opcost = "metrics.counters.trace.opcost_round_trips";
+      Gate("metrics.counters.trace.round_trips", ">=", Times(0.99, opcost),
+           why);
+      Gate("metrics.counters.trace.round_trips", "<=", Times(1.01, opcost),
+           why);
+      Gate("metrics.counters.trace.dropped_spans", ">=", 0,
+           "ring overwrites are not being counted");
+    }
+    if (config_.Find("seed") != nullptr) {
+      Gate("metrics.counters.fabric.*.round_trips", ">", 0,
+           "a seeded sim moved no fabric traffic through the registry; "
+           "the metrics wiring is broken");
+    }
+  }
+
   std::string name_;
   std::string json_out_;
   std::string trace_out_;
@@ -156,6 +222,7 @@ class BenchReporter {
   bool finished_ = false;
   obs::Json config_;
   obs::Json results_;
+  obs::Json gates_;
 };
 
 }  // namespace bench

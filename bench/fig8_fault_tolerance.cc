@@ -13,11 +13,12 @@
 // mid-run through the fault injector, its mirrors are promoted, and
 // re-replication restores the mirror count. After the run every preloaded
 // record — all acknowledged writes — must still resolve from its current
-// primary (lost_acked_writes row field, gated to zero by
-// scripts/check_bench_json.py along with the measured recovery window).
+// primary: the bench gates lost_acked_writes and unmirrored_keys to zero
+// and the measured recovery window to kRecoveryBudgetUs.
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -33,6 +34,10 @@ constexpr double kKillAt = 1.0 * kSecond;
 constexpr int kStreams = 32;
 constexpr int kKns = 8;
 constexpr int kDpmVictim = 1;  // pool index fail-stopped in the dpmkill pass
+// Virtual-time ceiling for the DPM fail-stop recovery window (detection +
+// quiesce + re-replication). Measured ~150 ms at --quick with 4 nodes /
+// rf=2; the budget leaves ~3x headroom.
+constexpr double kRecoveryBudgetUs = 500e3;
 
 workload::WorkloadSpec Spec() {
   auto spec = workload::WorkloadSpec::ReadMostlyUpdate(bench::kRecords, 0.99);
@@ -291,5 +296,26 @@ int main(int argc, char** argv) {
   std::printf(
       "(paper: DINOMO dips ~45%% briefly; Clover dips ~55%% briefly; "
       "DINOMO-N drops to ~0 for ~20s)\n");
+
+  const std::string kill = "results[system=DINOMO+dpmkill].";
+  reporter
+      .Gate("metrics.counters.fault.injected.*", ">", 0,
+            "the fault injector is installed but not wired into the "
+            "fabric/RPC path")
+      .Gate(kill + "lost_acked_writes", "==", 0,
+            "an acknowledged write did not survive the DPM fail-stop; "
+            "replicate-before-ack or the repair path is broken")
+      .Gate(kill + "unmirrored_keys", "==", 0,
+            "re-replication left keys without a current mirror copy; a "
+            "second fail-stop would lose them")
+      .Gate(kill + "recovery_window_us", ">", 0,
+            "the recovery window gauge was never set; promotion did not run")
+      .Gate(kill + "recovery_window_us", "<=", kRecoveryBudgetUs,
+            "detection + drain + re-replication regressed")
+      .Gate("metrics.counters.fault.dpm_failstops", ">=", 1,
+            "the DPM kill was scheduled but never enacted through the "
+            "injector")
+      .Gate("metrics.counters.dpm.pool.promotions", ">=", 1,
+            "no mirror was promoted after the kill");
   return reporter.Finish() ? 0 : 1;
 }

@@ -11,7 +11,9 @@
 // The JSON report carries the metrics-registry snapshot (cache counters
 // etc. accumulated by the benchmark bodies) and one `results` row per
 // google-benchmark run (GbenchJsonReporter below); the console output is
-// google-benchmark's usual table.
+// google-benchmark's usual table. DINOMO_GBENCH_MAIN_WITH_GATES also
+// hands the reporter to `declare_gates` after the runs, so a micro can
+// gate what its benchmarks published (BenchReporter::Gate).
 
 #include <benchmark/benchmark.h>
 
@@ -65,6 +67,10 @@ class GbenchJsonReporter : public benchmark::ConsoleReporter {
 }  // namespace dinomo
 
 #define DINOMO_GBENCH_MAIN(bench_name)                                       \
+  DINOMO_GBENCH_MAIN_WITH_GATES(bench_name,                                  \
+                                [](dinomo::bench::BenchReporter&) {})
+
+#define DINOMO_GBENCH_MAIN_WITH_GATES(bench_name, declare_gates)             \
   int main(int argc, char** argv) {                                          \
     std::vector<char*> own;                                                  \
     std::vector<char*> rest;                                                 \
@@ -92,6 +98,7 @@ class GbenchJsonReporter : public benchmark::ConsoleReporter {
     benchmark::RunSpecifiedBenchmarks(&display);                             \
     benchmark::Shutdown();                                                   \
     reporter.Config("runner", "google-benchmark");                           \
+    declare_gates(reporter);                                                 \
     return reporter.Finish() ? 0 : 1;                                        \
   }
 

@@ -5,9 +5,10 @@
 // SealSegment/CompleteBatch serialized on one global mutex; the sweep over
 // thread counts shows how far the striped layout lets throughput scale.
 //
-// Rows: {threads, ops, seconds, mops}. CI runs --quick --json_out and
-// scripts/check_bench_json.py gates on merge.queue.stalls == 0 and on
-// multi-thread throughput not collapsing below single-thread.
+// Rows: {threads, ops, seconds, mops}. Gates: merge.queue.stalls == 0,
+// and on a multicore host the best multi-thread throughput must hold 0.9x
+// the single-thread line (the factor absorbs scheduler noise on small CI
+// runners; the refactor's point was that it used to collapse).
 
 #include <atomic>
 #include <chrono>
@@ -127,6 +128,8 @@ int main(int argc, char** argv) {
                   std::thread::hardware_concurrency())));
 
   std::printf("%8s %12s %10s %10s\n", "threads", "ops", "seconds", "mops");
+  int best_threads = 0;
+  double best_mops = -1.0;
   for (int threads : sweep) {
     PointResult res = RunPoint(threads, ops_per_thread);
     const double mops =
@@ -140,6 +143,19 @@ int main(int argc, char** argv) {
     row.Set("seconds", obs::Json(res.seconds));
     row.Set("mops", obs::Json(mops));
     reporter.Add(std::move(row));
+    if (threads > 1 && mops > best_mops) {
+      best_mops = mops;
+      best_threads = threads;
+    }
+  }
+  reporter.Gate("metrics.counters.dpm.merge.queue.stalls", "==", 0,
+                "the merge scheduler lost runnable work and the audit had "
+                "to repair it; the runnable_ bookkeeping is broken");
+  if (std::thread::hardware_concurrency() >= 2) {
+    reporter.Gate("results[threads=" + std::to_string(best_threads) +
+                      "].mops",
+                  ">=", bench::Times(0.9, "results[threads=1].mops"),
+                  "concurrent flush/merge is serializing again");
   }
   return reporter.Finish() ? 0 : 1;
 }

@@ -118,7 +118,7 @@ BENCHMARK(BM_ClhtRemoteLookup);
 //   trace.overhead.check_ns      ns per disabled-path check
 //   trace.overhead.lookup_ns     ns per remote index lookup
 //   trace.overhead.disabled_pct  100 * check_ns * rts_per_lookup / lookup_ns
-// CI gates disabled_pct <= 2 (the ISSUE's tracing-off overhead budget).
+// The bench gates disabled_pct <= 2 (the tracing-off overhead budget).
 void BM_TraceOverhead(benchmark::State& state) {
   IndexFixture fx;
   for (uint64_t k = 1; k <= 100000; ++k) {
@@ -183,6 +183,12 @@ void BM_TraceOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceOverhead);
 
+void DeclareGates(bench::BenchReporter& reporter) {
+  reporter.Gate("metrics.gauges.trace.overhead.disabled_pct", "<=", 2.0,
+                "the tracing-disabled CurrentTraceContext() fast path got "
+                "more expensive than 2% of a remote lookup");
+}
+
 }  // namespace
 
-DINOMO_GBENCH_MAIN("micro_index")
+DINOMO_GBENCH_MAIN_WITH_GATES("micro_index", DeclareGates)

@@ -5,13 +5,13 @@
 // shortcut-only read loop where every op pays one one-sided RT. At depth
 // 1 the serving core is occupied for the op's full network time; at
 // depth N the network wait overlaps with other requests, so throughput
-// approaches the CPU-bound ceiling. check_bench_json.py requires depth 8
-// to deliver >= 2x the depth-1 throughput.
+// approaches the CPU-bound ceiling. The bench gates depth 8 at >= 2x the
+// depth-1 throughput (measured 5.4x at --quick; the rest is headroom).
 //
 // Section 2 (real threads): a small cluster under pipelined GET load so
-// KvsNode fuses queued direct reads into doorbell batches, then checks
-// the two independently-accumulated round-trip totals — leaf trace spans
-// vs per-request OpCost — agree, and that fusion actually happened
+// KvsNode fuses queued direct reads into doorbell batches, then gates the
+// two independently-accumulated round-trip totals — leaf trace spans vs
+// per-request OpCost — to agree within 1%, and fusion to have happened
 // (fabric.doorbell.batches > 0).
 
 #include <cmath>
@@ -243,5 +243,25 @@ int main(int argc, char** argv) {
                    .Set("doorbell_fused_ops", db.fused_ops)
                    .Set("doorbell_saved_rts", db.saved_rts));
 
+  const char* d1 = "results[section=pipeline_throughput,depth=1].mops";
+  reporter
+      .Gate(d1, ">", 0, "the depth-1 closed loop completed nothing")
+      .Gate("results[section=pipeline_throughput,depth=8].mops", ">=",
+            bench::Times(2.0, d1),
+            "the pipelined client is no longer overlapping round trips");
+  const std::string dual = "results[section=doorbell_dual_counter].";
+  const std::string opcost = dual + "opcost_round_trips";
+  const char* dual_why =
+      "with doorbell fusion on, a fused op is traced without being "
+      "charged, or vice versa";
+  reporter.Gate(dual + "trace_round_trips", ">", 0, dual_why)
+      .Gate(opcost, ">", 0, dual_why)
+      .Gate(dual + "trace_round_trips", ">=", bench::Times(0.99, opcost),
+            dual_why)
+      .Gate(dual + "trace_round_trips", "<=", bench::Times(1.01, opcost),
+            dual_why)
+      .Gate(dual + "doorbell_batches", ">=", 1,
+            "the pipelined GET load never fused a batch; KvsNode run "
+            "assembly or Fabric::OpBatch is broken");
   return reporter.Finish() ? 0 : 1;
 }

@@ -254,5 +254,30 @@ int main(int argc, char** argv) {
           .Set("final_kns", sim.NumActiveKns())
           .Set("scale_ups", st.scale_ups)
           .Set("scale_downs", st.scale_downs));
+
+  const std::string sum = "results[section=summary].";
+  reporter
+      .Gate("config.base_kns", ">=", 100,
+            "the storm must run at rack scale (>= 100 KNs)")
+      .Gate("config.dpm_nodes", ">=", 10,
+            "the storm must run against >= 10 DPM nodes")
+      .Gate("config.latency_basis", "==", "intended-send",
+            "storm latencies must be measured from intended arrival time")
+      .Gate(sum + "slo_violation_s_before_spike", "<=", 0,
+            "the diurnal base load alone breached the p99 SLO: capacity "
+            "regressed or intended-send accounting charges phantom "
+            "queueing delay")
+      .Gate(sum + "scale_ups", ">=", 1,
+            "the autoscaler never reacted to a spike ~1.4x over capacity")
+      .Gate(sum + "scale_downs", ">=", 1,
+            "the autoscaler never decayed after the spike passed; the "
+            "clear/hysteresis path is broken")
+      .Gate(sum + "peak_kns", ">", bench::Times(1.0, "config.base_kns"),
+            "no KN was actually added under the spike")
+      .Gate(sum + "final_kns", "<", bench::Times(1.0, sum + "peak_kns"),
+            "the KN count did not come back down from its peak")
+      .Gate(sum + "delivered_ratio", ">=", 0.95,
+            "the open-loop backlog never drained; offered traffic is being "
+            "dropped or stranded");
   return reporter.Finish() ? 0 : 1;
 }

@@ -4,11 +4,14 @@
 // setting; shortcut-only is pinned near 1 RT/op plus index traversals;
 // value-only thrashes at small sizes.
 //
-// This bench doubles as the CI drift gate: with --quick --json_out=... it
-// emits DINOMO (DAC) read and write RTs/op rows that
-// scripts/check_bench_json.py compares against checked-in expectations.
+// This bench doubles as the CI drift gate: a --quick run (icache on)
+// declares a band around the committed RTs/op of its shortcut-only and
+// DINOMO (DAC) rows — kExpectedQuick below — that
+// scripts/check_bench_json.py enforces on the --json_out report.
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -29,6 +32,22 @@ constexpr uint64_t kRecords = 100000;
 constexpr size_t kValueSize = 64;
 
 bool g_icache_enabled = true;
+
+// Committed --quick RTs/op; a report must land within max(0.05, 15%) of
+// each. The sims are seeded and run in virtual time, so the band only
+// absorbs floating-point ordering across toolchains. If a change moves
+// RTs/op on purpose, update the row here and say why.
+struct Expected {
+  const char* policy;
+  const char* mix;
+  int cache_pct;
+  double rts_per_op;
+};
+constexpr Expected kExpectedQuick[] = {
+    {"shortcut-only", "read", 4, 1.00}, {"shortcut-only", "read", 16, 1.00},
+    {"DAC", "read", 4, 0.31},           {"DAC", "read", 16, 0.03},
+    {"DAC", "write", 4, 0.21},          {"DAC", "write", 16, 0.10},
+};
 
 double MeasureRts(const PolicyConfig& policy, double cache_pct,
                   bool write_mix, double duration_us) {
@@ -170,6 +189,21 @@ int main(int argc, char** argv) {
     std::printf("  %4.0f%%: DAC=%.2f, best-static=%.2f -> %s\n",
                 cache_pcts[c], dac, best_other,
                 dac <= best_other * 1.05 + 0.05 ? "yes" : "NO");
+  }
+
+  // The --icache=0 ablation moves RTs/op on purpose: no drift band.
+  if (reporter.quick() && g_icache_enabled) {
+    for (const Expected& e : kExpectedQuick) {
+      const std::string metric = std::string("results[policy=") + e.policy +
+                                 ",mix=" + e.mix + ",cache_pct=" +
+                                 std::to_string(e.cache_pct) + "].rts_per_op";
+      const double band = std::max(0.05, 0.15 * e.rts_per_op);
+      const char* why =
+          "RTs/op drifted from the committed figure; if intentional, "
+          "update kExpectedQuick in bench/table5_rts_per_op.cc";
+      reporter.Gate(metric, ">=", e.rts_per_op - band, why)
+          .Gate(metric, "<=", e.rts_per_op + band, why);
+    }
   }
   return reporter.Finish() ? 0 : 1;
 }

@@ -8,13 +8,13 @@
 // predecessor in the KN's learned leaf links and prefetches the whole
 // leaf run in one doorbell round, then fuses all value reads into a
 // second; a cold one descends from the KN-cached search layer and walks
-// the leaves with dependent reads (and teaches the links).
-// check_bench_json.py requires every row to have served scans and to
-// hold the measured-cost bound below.
+// the leaves with dependent reads (and teaches the links). Every row is
+// gated to have served scans and to hold the measured-cost bound below.
 //
 // Section 2 (real threads): a small cluster under the wall-clock
 // runtime; Client::Scan must return exactly the requested window in
-// ascending key order — the end-to-end ordered-iteration invariant.
+// ascending key order — the end-to-end ordered-iteration invariant,
+// gated on every flag of the ordered_invariant row.
 
 #include <cstdio>
 #include <string>
@@ -193,6 +193,15 @@ int main(int argc, char** argv) {
                      .Set("scans", r.scans)
                      .Set("point_ops", r.point_ops)
                      .Set("rts_bound", max_rts));
+    const std::string row = "results[section=scan_mix,scan_len_max=" +
+                            std::to_string(len) + "].";
+    reporter
+        .Gate(row + "scans", ">", 0,
+              "the workload generator or the kScan dispatch path dropped "
+              "the scan class")
+        .Gate(row + "rts_per_op", "<=", max_rts,
+              "scans fell back to dependent leaf walks (learned links not "
+              "used?) or pay per-row value reads");
   }
 
   std::printf("\nOrdered-iteration invariant (real threads):\n");
@@ -208,6 +217,14 @@ int main(int argc, char** argv) {
                    .Set("ordered", ord.ordered)
                    .Set("window_exact", ord.window_exact)
                    .Set("past_end_empty", ord.past_end_empty));
+  const std::string inv = "results[section=ordered_invariant].";
+  reporter.Gate(inv + "rows", ">=", 1,
+                "the wall-clock Client::Scan returned nothing");
+  for (const char* flag : {"ordered", "window_exact", "past_end_empty"}) {
+    reporter.Gate(inv + flag, "==", true,
+                  "the real-thread scan path broke the ordered-iteration "
+                  "contract");
+  }
 
   return reporter.Finish() ? 0 : 1;
 }

@@ -11,6 +11,9 @@ namespace dinomo {
 
 namespace {
 
+// Period of the M-node monitoring loop (start_mnode), ms.
+constexpr double kMnodeEpochMs = 100.0;
+
 void SpinFor(double us) {
   const auto until = std::chrono::steady_clock::now() +
                      std::chrono::nanoseconds(static_cast<long>(us * 1000));
@@ -127,7 +130,7 @@ Client::OpFuture Client::ExecuteAsync(kn::Request::Type type,
           std::chrono::duration<double, std::micro>(opts.request_deadline_us));
   // Fresh backoff per request, seeded deterministically per (client, key)
   // so concurrent clients rejected at the same instant decorrelate.
-  p->backoff = Backoff(opts.client_backoff, salt_ ^ p->key_hash);
+  p->backoff = Backoff(BackoffOptions{}, salt_ ^ p->key_hash);
   // Sampled requests carry a trace from submission through the worker and
   // fabric; the context ends (recording the root span) when the op record
   // dies on any completion path.
@@ -622,8 +625,8 @@ void Cluster::FaultEnactorLoop() {
 void Cluster::MnodeLoop() {
   while (mnode_running_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::microseconds(
-        static_cast<long>(options_.mnode_epoch_ms * 1000)));
-    RunPolicyOnce(NowUs() / 1e6, options_.mnode_epoch_ms / 1000.0);
+        static_cast<long>(kMnodeEpochMs * 1000)));
+    RunPolicyOnce(NowUs() / 1e6, kMnodeEpochMs / 1000.0);
   }
 }
 

@@ -45,16 +45,14 @@ struct ClusterOptions {
   mnode::PolicyParams policy;
   /// Spawn the M-node monitoring loop (real-thread runtime only).
   bool start_mnode = false;
-  double mnode_epoch_ms = 100.0;
   /// Clients spin for the op's modeled latency, so latency SLOs are
   /// meaningful in the real-thread runtime.
   bool inject_latency = false;
   /// Overall per-request budget for Client::Execute, matching the paper's
   /// client timeout ("user requests are set to time out after 500ms",
-  /// §5.3). Transient rejections retry with `client_backoff` until the
-  /// budget is spent, then the client sees DeadlineExceeded.
+  /// §5.3). Transient rejections retry with the default BackoffOptions
+  /// until the budget is spent, then the client sees DeadlineExceeded.
   double request_deadline_us = 500'000.0;
-  BackoffOptions client_backoff;
   /// Per-client pipelining window: ExecuteAsync admits up to this many
   /// unfinished requests before blocking the submitter (closed-loop
   /// drivers keep the window full to overlap round trips). The sync

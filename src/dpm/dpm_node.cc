@@ -25,6 +25,8 @@ struct SegmentPmHeader {
 static_assert(sizeof(SegmentPmHeader) == pm::kCacheLineSize);
 
 constexpr size_t kSegmentHeaderSize = pm::kCacheLineSize;
+// DPM processor time to serve a segment-allocation RPC, us.
+constexpr double kAllocRpcCpuUs = 3.0;
 
 // Recovery superblock: the first allocation of a fresh pool, so its
 // offset is deterministic (region start + allocator block header).
@@ -297,7 +299,7 @@ Result<pm::PmPtr> DpmNode::AllocateSegment(int kn_node, uint64_t owner) {
   // proactively preallocate log segments for their own use using
   // two-sided operations").
   fabric_->ChargeRpc(kn_node, /*req=*/24, /*resp=*/16,
-                     options_.alloc_rpc_cpu_us, "rpc:allocate_segment");
+                     kAllocRpcCpuUs, "rpc:allocate_segment");
   return base;
 }
 

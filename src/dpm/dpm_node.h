@@ -37,8 +37,6 @@ struct DpmOptions {
   bool partitioned_metadata = false;
   MergeProfile merge_profile = MergeProfile::Dram();
   net::LinkProfile link_profile;
-  /// DPM processor time to serve a segment-allocation RPC, us.
-  double alloc_rpc_cpu_us = 3.0;
   /// Identity of this node inside a replicated DpmPool (0 for the single-
   /// node setups). Stamped into every MergeAck so KNs can tell a primary's
   /// ack from its mirror's.

@@ -51,6 +51,23 @@ constexpr int kTransientRetries = 4;
 // Busy retry first drains the target owner queue, so this only runs dry
 // if the surviving DPM keeps rejecting RPCs).
 constexpr int kFailoverReplayRetries = 64;
+// Slots in the per-worker index-metadata cache (rounded up to a power of
+// two; ~32 bytes each).
+constexpr size_t kIcacheEntries = 1 << 14;
+
+// Runs `attempt` until it returns a non-transient status (success
+// included) or kTransientRetries attempts are spent, and returns the last
+// status. A one-sided op reports through its parked fabric fault:
+// `attempt` issues it and returns net::Fabric::TakePendingFault().
+template <typename Fn>
+Status RetryTransient(Fn&& attempt) {
+  Status st;
+  for (int i = 0; i < kTransientRetries; ++i) {
+    st = attempt();
+    if (!IsTransient(st)) break;
+  }
+  return st;
+}
 
 Slice HashKeySlice(const uint64_t& key_hash) {
   return Slice(reinterpret_cast<const char*>(&key_hash), sizeof(key_hash));
@@ -77,8 +94,7 @@ KnWorker::KnWorker(const KnOptions& options, int worker_idx,
   // and must keep paying the full traversal on a miss.
   if (options_.icache_enabled &&
       options_.policy != CachePolicyKind::kShortcutOnly) {
-    icache_ = std::make_unique<IndexCache>(options_.icache_entries,
-                                           options_.metrics);
+    icache_ = std::make_unique<IndexCache>(kIcacheEntries, options_.metrics);
   }
   index_handles_.resize(static_cast<size_t>(pool_->num_nodes()));
   known_index_epochs_.resize(static_cast<size_t>(pool_->num_nodes()), 0);
@@ -121,15 +137,15 @@ void KnWorker::RefreshIndexHandle(int n) {
     handle = index::Clht::RemoteHandle{};
     return;
   }
-  for (int attempt = 0; attempt < kTransientRetries; ++attempt) {
+  (void)RetryTransient([&] {
     handle = TargetIndex(n)->FetchRemoteHandle(node(n)->fabric(),
                                                options_.fabric_node);
-    if (!net::Fabric::HasPendingFault()) break;
+    Status fault = net::Fabric::TakePendingFault();
     // Dropped read: the fetched handle is zeroes, which reads as invalid
     // (null bucket array) — never traverse with it.
-    (void)net::Fabric::TakePendingFault();
-    handle = index::Clht::RemoteHandle{};
-  }
+    if (!fault.ok()) handle = index::Clht::RemoteHandle{};
+    return fault;
+  });
   known = std::max(known, handle.epoch);
 }
 
@@ -658,32 +674,25 @@ Status KnWorker::EnsureSegmentsFor(WriteState* st,
     // re-requested allocation just hands out a fresh segment), so
     // transient rejections get a few immediate retries before surfacing.
     if (st->segment != pm::kNullPmPtr) {
-      Status sealed;
-      for (int attempt = 0; attempt < kTransientRetries; ++attempt) {
-        sealed = pool_->SealSegment(pl.primary, placement_gen_,
-                                    options_.fabric_node, log_owner(),
-                                    st->segment);
-        if (!IsTransient(sealed)) break;
-      }
-      DINOMO_RETURN_IF_ERROR(sealed);
+      DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
+        return pool_->SealSegment(pl.primary, placement_gen_,
+                                  options_.fabric_node, log_owner(),
+                                  st->segment);
+      }));
     }
     if (st->mirror_segment != pm::kNullPmPtr && pl.mirror >= 0) {
-      Status sealed;
-      for (int attempt = 0; attempt < kTransientRetries; ++attempt) {
-        sealed = pool_->SealSegment(pl.mirror, placement_gen_,
-                                    options_.fabric_node, log_owner(),
-                                    st->mirror_segment);
-        if (!IsTransient(sealed)) break;
-      }
-      DINOMO_RETURN_IF_ERROR(sealed);
+      DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
+        return pool_->SealSegment(pl.mirror, placement_gen_,
+                                  options_.fabric_node, log_owner(),
+                                  st->mirror_segment);
+      }));
     }
     Result<pm::PmPtr> seg = Status::Unavailable("not attempted");
-    for (int attempt = 0; attempt < kTransientRetries; ++attempt) {
+    DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
       seg = pool_->AllocateSegment(pl.primary, placement_gen_,
                                    options_.fabric_node, log_owner());
-      if (seg.ok() || !IsTransient(seg.status())) break;
-    }
-    if (!seg.ok()) return seg.status();
+      return seg.status();
+    }));
     st->segment = seg.value();
     st->segment_used = 0;
     st->mirror_segment = pm::kNullPmPtr;
@@ -691,12 +700,11 @@ Status KnWorker::EnsureSegmentsFor(WriteState* st,
   }
   if (pl.mirror >= 0 && st->mirror_segment == pm::kNullPmPtr) {
     Result<pm::PmPtr> seg = Status::Unavailable("not attempted");
-    for (int attempt = 0; attempt < kTransientRetries; ++attempt) {
+    DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
       seg = pool_->AllocateSegment(pl.mirror, placement_gen_,
                                    options_.fabric_node, log_owner());
-      if (seg.ok() || !IsTransient(seg.status())) break;
-    }
-    if (!seg.ok()) return seg.status();
+      return seg.status();
+    }));
     st->mirror_segment = seg.value();
     st->mirror_used = 0;
   }
@@ -761,12 +769,10 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
   if (m < 0) {
     // Unreplicated fast path: ONE one-sided durable RDMA write ships the
     // whole batch (§3.6), exactly as in the single-DPM system.
-    for (int attempt = 0;; ++attempt) {
+    DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
       pf->Write(options_.fabric_node, st->batch.data(), dst, len);
-      Status fault = net::Fabric::TakePendingFault();
-      if (fault.ok()) break;
-      if (attempt + 1 >= kTransientRetries) return fault;
-    }
+      return net::Fabric::TakePendingFault();
+    }));
   } else {
     // Replicate-before-ack (Tsai & Zhang; AsymNVM mirroring): the
     // primary's commit marker — the byte that makes the batch decodable,
@@ -783,29 +789,23 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
       // TEST ONLY — deliberately reordered append: the full batch,
       // commit marker included, lands on the primary before the mirror
       // has a copy. tests/replication_test.cc proves this is detected.
-      for (int attempt = 0;; ++attempt) {
+      DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
         pf->Write(options_.fabric_node, st->batch.data(), dst, len);
-        Status fault = net::Fabric::TakePendingFault();
-        if (fault.ok()) break;
-        if (attempt + 1 >= kTransientRetries) return fault;
-      }
+        return net::Fabric::TakePendingFault();
+      }));
     } else {
       // 1. Primary payload with the final commit-marker byte withheld.
-      for (int attempt = 0;; ++attempt) {
+      DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
         pf->Write(options_.fabric_node, st->batch.data(), dst, len - 1);
-        Status fault = net::Fabric::TakePendingFault();
-        if (fault.ok()) break;
-        if (attempt + 1 >= kTransientRetries) return fault;
-      }
+        return net::Fabric::TakePendingFault();
+      }));
     }
     // 2. Full durable copy to the mirror, then the mirror's SubmitBatch —
     //    its success is the mirror ack the commit marker waits for.
-    for (int attempt = 0;; ++attempt) {
+    DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
       mf->Write(options_.fabric_node, st->batch.data(), mdst, len);
-      Status fault = net::Fabric::TakePendingFault();
-      if (fault.ok()) break;
-      if (attempt + 1 >= kTransientRetries) return fault;
-    }
+      return net::Fabric::TakePendingFault();
+    }));
     auto mirror_submit =
         pool_->SubmitBatch(m, placement_gen_, options_.fabric_node,
                            log_owner(), st->mirror_segment, mdst, len,
@@ -822,13 +822,11 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
       // 3. Publish the commit marker on the primary. WritePublish makes
       //    it a publication point under the PmChecker: everything the
       //    marker makes reachable must already be durable.
-      for (int attempt = 0;; ++attempt) {
+      DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
         pf->WritePublish(options_.fabric_node,
                          st->batch.data() + (len - 1), dst + (len - 1), 1);
-        Status fault = net::Fabric::TakePendingFault();
-        if (fault.ok()) break;
-        if (attempt + 1 >= kTransientRetries) return fault;
-      }
+        return net::Fabric::TakePendingFault();
+      }));
     }
   }
   // Register the cached copy BEFORE the DPM learns about the batch:
@@ -922,14 +920,13 @@ OpResult KnWorker::SharedWrite(const Slice& key, const Slice& value,
   // registered and published through the slot CAS below.
   net::Fabric* fabric = node(pl.primary)->fabric();
   (void)net::Fabric::TakePendingFault();
-  for (int attempt = 0;; ++attempt) {
+  st = RetryTransient([&] {
     fabric->Write(options_.fabric_node, buf.data(), entry_ptr, need);
-    Status fault = net::Fabric::TakePendingFault();
-    if (fault.ok()) break;
-    if (attempt + 1 >= kTransientRetries) {
-      out.status = fault;
-      return out;
-    }
+    return net::Fabric::TakePendingFault();
+  });
+  if (!st.ok()) {
+    out.status = st;
+    return out;
   }
   auto submit = pool_->SubmitBatch(pl.primary, placement_gen_,
                                    options_.fabric_node, log_owner(),

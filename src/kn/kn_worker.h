@@ -68,20 +68,6 @@ struct KnOptions {
   /// fabric round. Disabled automatically under the shortcut-only policy,
   /// which models the prior-work (DINOMO-S) baseline.
   bool icache_enabled = true;
-  /// Slots in the per-worker index-metadata cache (rounded up to a power
-  /// of two; ~32 bytes each).
-  size_t icache_entries = 1 << 14;
-
-  /// Doorbell batching: a KN worker that finds several GETs queued runs
-  /// their local parts first, then fuses the surviving direct value reads
-  /// into one fabric round per DPM node (Fabric::OpBatch), up to this
-  /// many requests per round. <= 1 disables fusion.
-  int doorbell_max_fuse = 8;
-
-  /// If false, a Put/Delete that hits the unmerged-segment threshold
-  /// returns Busy instead of blocking (the virtual-time engine reschedules
-  /// it; the real-thread runtime waits on the merge callback and retries).
-  bool blocking_writes = false;
 
   /// TEST ONLY: deliberately breaks the replicated flush protocol by
   /// publishing the primary's commit marker BEFORE the mirror ack (the

@@ -10,6 +10,14 @@
 namespace dinomo {
 namespace kn {
 
+namespace {
+// Doorbell batching: a worker that finds several GETs queued runs their
+// local parts first, then fuses the surviving direct value reads into one
+// fabric round per DPM node (Fabric::OpBatch), up to this many requests
+// per round.
+constexpr size_t kDoorbellMaxFuse = 8;
+}  // namespace
+
 KvsNode::KvsNode(const KnOptions& options, dpm::DpmPool* pool)
     : options_(options), pool_(pool) {
   DINOMO_CHECK(options_.num_workers >= 1);
@@ -199,13 +207,13 @@ void KvsNode::WorkerLoop(int idx) {
       if (req.done) req.done(std::move(dead));
       continue;
     }
-    if (req.type == Request::Type::kGet && options_.doorbell_max_fuse > 1) {
+    if (req.type == Request::Type::kGet) {
       // Doorbell fusion: under load, several GETs sit queued behind this
       // one. Drain a run of them and fuse their direct value reads into
       // one fabric round per DPM node instead of one round each.
       std::vector<Request> run;
       run.push_back(std::move(req));
-      while (static_cast<int>(run.size()) < options_.doorbell_max_fuse) {
+      while (run.size() < kDoorbellMaxFuse) {
         auto next = queue->TryPop();
         if (!next.has_value()) break;
         if (next->type != Request::Type::kGet) {

@@ -24,6 +24,8 @@ constexpr double kMigrateUsPerByte = 1.0 / 180.0;
 // DPM processor time per entry re-encoded + merged during the
 // re-replication repair pass after a DPM fail-stop.
 constexpr double kRepairPerEntryUs = 2.0;
+// Delay for a client to refresh routing after a rejection, us.
+constexpr double kRoutingRefreshUs = 300.0;
 
 DinomoSimOptions Normalized(DinomoSimOptions opt) {
   if (opt.metrics != nullptr) {
@@ -178,20 +180,20 @@ double DinomoSim::TryServe(const workload::WorkloadOp& op,
   const double now = engine_.now_us();
   auto table = protocol_.routing()->Snapshot();
   if (table->global_ring.empty()) {
-    return RetryAt(now + options_.routing_refresh_us, trace, retry);
+    return RetryAt(now + kRoutingRefreshUs, trace, retry);
   }
   const uint64_t kh = kn::KeyHash(op.key);
   const uint64_t kn_id = table->RouteFor(kh, salt_++);
   KnSim* k = FindKn(kn_id);
   if (k == nullptr || k->failed) {
     // Dead node: the request times out, then the client refreshes.
-    return RetryAt(now + (k == nullptr ? options_.routing_refresh_us
+    return RetryAt(now + (k == nullptr ? kRoutingRefreshUs
                                        : options_.request_timeout_us),
                    trace, retry);
   }
   if (k->unavailable_until > now) {
     return RetryAt(
-        std::max(now + options_.routing_refresh_us, k->unavailable_until),
+        std::max(now + kRoutingRefreshUs, k->unavailable_until),
         trace, retry);
   }
   const int widx = table->ThreadFor(kh, kn_id);
@@ -242,7 +244,7 @@ double DinomoSim::TryServe(const workload::WorkloadOp& op,
     return -1.0;
   }
   if (r.status.IsWrongOwner() || r.status.IsUnavailable()) {
-    return RetryAt(now + options_.routing_refresh_us, trace, retry);
+    return RetryAt(now + kRoutingRefreshUs, trace, retry);
   }
 
   // Two-sided DPM work shares the server pool with the merges. An

@@ -48,9 +48,6 @@ struct DinomoSimOptions : DriverOptions {
   /// the pre-pipelining model.
   int pipeline_depth = 1;
 
-  /// Delay for a client to refresh routing after a rejection, us.
-  double routing_refresh_us = 300.0;
-
   /// M-node (only used after EnableMnode).
   mnode::PolicyParams policy;
   double mnode_epoch_us = 1e6;
