@@ -78,16 +78,6 @@ inline std::vector<workload::WorkloadSpec> PaperMixes(double theta) {
   return mixes;
 }
 
-/// Sum of one-sided fabric round trips across the whole DPM pool since
-/// the last counter reset (Preload / ResetProfileWindow).
-inline uint64_t TotalFabricRts(sim::DinomoSim& sim) {
-  uint64_t rts = 0;
-  for (int n = 0; n < sim.pool()->num_nodes(); ++n) {
-    rts += sim.pool()->node(n)->fabric()->TotalRoundTrips();
-  }
-  return rts;
-}
-
 inline void PrintHeader(const char* title) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title);

@@ -114,6 +114,9 @@ int main(int argc, char** argv) {
   // The DINOMO-N reorganization stalls make this leg ~10x slower; skip it
   // in the CI smoke run.
   if (!reporter.quick()) RunSystem(SystemVariant::kDinomoN, "DINOMO-N", &reporter);
+  reporter.Gate("metrics.counters.cache.*", ">", 0,
+                "the KN cache counters read 0 after a run with M-node epochs: "
+                "an epoch wiped them");
   std::printf(
       "\nExpected shape: both systems add KNs after the burst and remove "
       "one after the calm;\nDINOMO dips briefly during each change, "

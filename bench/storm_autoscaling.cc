@@ -175,16 +175,12 @@ int main(int argc, char** argv) {
   int peak_kns = cfg.base_kns;
   size_t traj = 0;
   const double win_s = st.windows.window_us() / kSecond;
-  const size_t n_windows = std::max(st.windows.num_windows(),
-                                    st.offered_per_window.size());
-  for (size_t i = 0; i < n_windows; ++i) {
+  for (size_t i = 0; i < st.windows.num_windows(); ++i) {
     const double t_end = (i + 1) * st.windows.window_us();
-    const uint64_t offered =
-        i < st.offered_per_window.size() ? st.offered_per_window[i] : 0;
-    const uint64_t completed =
-        i < st.windows.num_windows() ? st.windows.window(i).completed : 0;
-    const double p99 =
-        i < st.windows.num_windows() ? st.windows.window(i).latency.P99() : 0.0;
+    const sim::WindowStats::Window& w = st.windows.window(i);
+    const uint64_t offered = w.offered;
+    const uint64_t completed = w.completed;
+    const double p99 = w.latency.P99();
     const bool violated =
         (completed > 0 && p99 > cfg.p99_slo_us) || (offered > 0 && completed == 0);
     if (violated) {

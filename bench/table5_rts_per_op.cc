@@ -76,19 +76,20 @@ double MeasureRts(const PolicyConfig& policy, double cache_pct,
 
   sim::DinomoSim sim(opt);
   sim.Preload();
-  // Warm up outside the measured counter window. Preload resets the
-  // fabric counters, but the warmup ops below are real traffic: without
-  // the explicit ResetProfileWindow() their round trips (cold icache
-  // fills, first-touch index traversals) would be averaged into the
-  // measured ops' RTs/op — every variant ran with that drift before.
+  // Warm up outside the measured profile window. Preload starts a window,
+  // but the warmup ops below are real traffic: without the explicit
+  // StartProfileWindow() their round trips (cold icache fills,
+  // first-touch index traversals) would be averaged into the measured
+  // ops' RTs/op — every variant ran with that drift before.
   const double warmup_us = duration_us / 5.0;
   sim.Run(warmup_us, 0);
-  const uint64_t warmup_rts = bench::TotalFabricRts(sim);
-  sim.ResetProfileWindow();
-  // Drift guard: the reset must leave the measured window starting at
-  // zero, and the warmup phase must have produced traffic that the old
-  // window would have (wrongly) counted.
-  DINOMO_CHECK(bench::TotalFabricRts(sim) == 0);
+  const uint64_t warmup_rts = sim.CollectProfile().round_trips;
+  sim.StartProfileWindow();
+  // Drift guard: the measured window must start empty, and the warmup
+  // phase must have produced traffic that the old window would have
+  // (wrongly) counted.
+  const auto empty = sim.CollectProfile();
+  DINOMO_CHECK(empty.requests == 0 && empty.round_trips == 0);
   DINOMO_CHECK(warmup_rts > 0);
   sim.Run(duration_us, 0);
   return sim.CollectProfile().rts_per_op;

@@ -63,9 +63,10 @@ ScanMixResult MeasureScanMix(uint32_t scan_len_max, double duration_us) {
   // traversals must not be averaged into the measured scans).
   const double warmup_us = duration_us / 5.0;
   sim.Run(warmup_us, 0);
-  const uint64_t warmup_rts = bench::TotalFabricRts(sim);
-  sim.ResetProfileWindow();
-  DINOMO_CHECK(bench::TotalFabricRts(sim) == 0);
+  const uint64_t warmup_rts = sim.CollectProfile().round_trips;
+  sim.StartProfileWindow();
+  const auto empty = sim.CollectProfile();
+  DINOMO_CHECK(empty.requests == 0 && empty.round_trips == 0);
   DINOMO_CHECK(warmup_rts > 0);
   sim.Run(duration_us, 0);
 

@@ -105,7 +105,7 @@ int main() {
   // Per-KN cache effectiveness (ownership partitioning at work: each KN
   // caches only its own partition, so there is no redundancy).
   for (uint64_t id : cluster.ActiveKns()) {
-    auto stats = cluster.kn(id)->AggregateStats(false);
+    auto stats = cluster.kn(id)->AggregateStats();
     const uint64_t lookups =
         stats.value_hits + stats.shortcut_hits + stats.misses;
     std::printf(

@@ -54,10 +54,6 @@ struct CacheStats {
     return n == 0 ? 0.0
                   : static_cast<double>(value_hits + shortcut_hits) / n;
   }
-  double ValueHitShare() const {
-    const uint64_t h = value_hits + shortcut_hits;
-    return h == 0 ? 0.0 : static_cast<double>(value_hits) / h;
-  }
 };
 
 /// The registry-published counters behind CacheStats. Each cache instance
@@ -92,7 +88,6 @@ struct CacheMetrics {
     s.shortcut_evictions = shortcut_evictions.value();
     return s;
   }
-  void Reset() { group.ResetAll(); }
 };
 
 /// Interface of a KN-side cache policy. One instance per KN worker thread
@@ -146,8 +141,8 @@ class KnCache {
   virtual size_t charge() const = 0;
   virtual size_t capacity() const = 0;
 
+  /// Cumulative since construction; counts never decrease.
   virtual CacheStats stats() const = 0;
-  virtual void ResetStats() = 0;
 
   /// Number of value entries and shortcut entries (diagnostics).
   virtual size_t value_entries() const = 0;

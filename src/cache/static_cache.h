@@ -44,7 +44,6 @@ class StaticCache final : public KnCache {
   size_t charge() const override { return value_charge_ + shortcut_charge_; }
   size_t capacity() const override { return capacity_; }
   CacheStats stats() const override { return metrics_.snapshot(); }
-  void ResetStats() override { metrics_.Reset(); }
   size_t value_entries() const override { return values_.size(); }
   size_t shortcut_entries() const override { return shortcuts_.size(); }
 

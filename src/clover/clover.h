@@ -138,7 +138,6 @@ class CloverKn {
 
   /// Cumulative hit/miss statistics (shared with the cache).
   cache::CacheStats stats() const { return cache_.stats(); }
-  void ResetStats() { cache_.ResetStats(); }
 
  private:
   // Reads the version at `ptr`; fills *value, *next. False if the record

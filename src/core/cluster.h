@@ -282,8 +282,8 @@ class Cluster : private Runtime {
   std::vector<uint64_t> ActiveKns() const override;
   kn::KvsNode* kn(uint64_t kn_id);
 
-  /// Gathers the monitoring metrics the M-node consumes (resets the
-  /// per-epoch counters).
+  /// Gathers the monitoring metrics the M-node consumes (drains the
+  /// workers' epoch load).
   mnode::ClusterMetrics CollectMetrics(double epoch_seconds);
 
   /// Client latency reporting (feeds SLO checks).

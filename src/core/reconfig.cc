@@ -410,14 +410,14 @@ mnode::ClusterMetrics ReconfigProtocol::CollectMetrics(Histogram* latency,
     Mutex mu;  // workers may report concurrently
     double busy_us = 0.0;
     rt_->RunOnWorkers(id, [&](kn::KnWorker* w) {
-      const kn::WorkerStats stats = w->SnapshotStats(/*reset=*/true);
+      const kn::EpochLoad load = w->DrainEpochLoad();
       MutexLock lock(mu);
-      busy_us += stats.busy_us;
-      for (const auto& [key, count] : stats.hot_keys) {
+      busy_us += load.busy_us;
+      for (const auto& [key, count] : load.hot_keys) {
         key_counts[key] += count;
       }
-      mean_sum += stats.key_freq_mean;
-      std_sum += stats.key_freq_stddev;
+      mean_sum += load.key_freq_mean;
+      std_sum += load.key_freq_stddev;
       workers++;
     });
     metrics.occupancy[id] = rt_->Occupancy(id, busy_us, epoch_us);

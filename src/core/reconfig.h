@@ -154,7 +154,8 @@ class ReconfigProtocol {
   Status Dereplicate(uint64_t key_hash);
   /// Gathers the M-node's monitoring inputs for an epoch of `epoch_us`:
   /// `latency` holds the client latencies since the last epoch (reset
-  /// here), the workers' per-epoch counters reset too.
+  /// here); each worker's epoch load is drained. Published statistics
+  /// (worker counts, cache and fabric counters) are only read.
   mnode::ClusterMetrics CollectMetrics(Histogram* latency, double epoch_us);
   /// One M-node epoch: evaluates the policy on `metrics` and enacts its
   /// action.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "cache/dac.h"
 #include "cache/static_cache.h"
@@ -1414,12 +1415,18 @@ void KnWorker::InjectUnmergedBatchForTest(std::string bytes, pm::PmPtr base,
   unmerged_batches_.push_back(std::move(cached));
 }
 
-WorkerStats KnWorker::SnapshotStats(bool reset) {
+WorkerStats KnWorker::SnapshotStats() const {
   WorkerStats out = stats_;
-  const cache::CacheStats& cs = cache_->stats();
+  const cache::CacheStats cs = cache_->stats();
   out.value_hits = cs.value_hits;
   out.shortcut_hits = cs.shortcut_hits;
   out.misses = cs.misses;
+  return out;
+}
+
+EpochLoad KnWorker::DrainEpochLoad() {
+  EpochLoad out;
+  out.busy_us = std::exchange(stats_.busy_us, 0.0);
 
   // Hot-key summary for the M-node's selective-replication policy.
   double sum = 0.0;
@@ -1443,12 +1450,7 @@ WorkerStats KnWorker::SnapshotStats(bool reset) {
                     });
   top.resize(k);
   out.hot_keys = std::move(top);
-
-  if (reset) {
-    stats_ = WorkerStats{};
-    cache_->ResetStats();
-    access_counts_.clear();
-  }
+  access_counts_.clear();
   return out;
 }
 

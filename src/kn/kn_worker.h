@@ -117,7 +117,8 @@ struct OpResult {
   }
 };
 
-/// Per-worker statistics snapshot for the M-node and the harnesses.
+/// Cumulative per-worker request counts for the harnesses; they never
+/// decrease, so a window is the difference of two snapshots.
 struct WorkerStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
@@ -125,8 +126,11 @@ struct WorkerStats {
   uint64_t value_hits = 0;
   uint64_t shortcut_hits = 0;
   uint64_t misses = 0;
-  uint64_t round_trips = 0;
   uint64_t wrong_owner = 0;
+};
+
+/// One worker's M-node inputs for the epoch since the previous drain.
+struct EpochLoad {
   double busy_us = 0.0;
   /// Access counts of the hottest keys this epoch (key hash -> count).
   std::vector<std::pair<uint64_t, uint64_t>> hot_keys;
@@ -291,8 +295,12 @@ class KnWorker {
   const KnOptions& options() const { return options_; }
   dpm::DpmPool* pool() const { return pool_; }
 
-  /// Statistics since the last snapshot; reset=true starts a new epoch.
-  WorkerStats SnapshotStats(bool reset);
+  /// Request and cache counts since construction.
+  WorkerStats SnapshotStats() const;
+  /// Takes this epoch's load (busy time, key access counts) and starts
+  /// the next epoch. Only the M-node's epoch, and the sim's preload
+  /// before it, call this.
+  EpochLoad DrainEpochLoad();
 
  private:
   struct CachedBatch {
@@ -420,8 +428,11 @@ class KnWorker {
   mutable Mutex batches_mu_;
   std::deque<CachedBatch> unmerged_batches_ GUARDED_BY(batches_mu_);
 
-  // Statistics.
-  WorkerStats stats_;
+  // Statistics: the cumulative counts, plus this epoch's load (busy time
+  // and key access counts, drained by DrainEpochLoad).
+  struct : WorkerStats {
+    double busy_us = 0.0;
+  } stats_;
   std::unordered_map<uint64_t, uint64_t> access_counts_;
   static constexpr size_t kMaxTrackedKeys = 1 << 16;
 };

@@ -347,7 +347,7 @@ void KvsNode::ExecuteGetRun(KnWorker* worker, std::vector<Request>& run) {
   }
 }
 
-WorkerStats KvsNode::AggregateStats(bool reset) {
+WorkerStats KvsNode::AggregateStats() {
   WorkerStats total;
   for (auto& w : workers_) {
     // Collect on the worker's own thread when running to avoid races.
@@ -359,7 +359,7 @@ WorkerStats KvsNode::AggregateStats(bool reset) {
       Request req;
       req.type = Request::Type::kControl;
       req.control = [&](KnWorker* worker) {
-        s = worker->SnapshotStats(reset);
+        s = worker->SnapshotStats();
         // Notify while holding the lock: the waiter destroys mu/cv as
         // soon as it observes done, so an unlocked notify could touch a
         // dead condition variable.
@@ -374,10 +374,10 @@ WorkerStats KvsNode::AggregateStats(bool reset) {
       } else {
         // Queue closed under us: the worker thread is exiting, so an
         // inline snapshot no longer races with it.
-        s = w->SnapshotStats(reset);
+        s = w->SnapshotStats();
       }
     } else {
-      s = w->SnapshotStats(reset);
+      s = w->SnapshotStats();
     }
     total.reads += s.reads;
     total.writes += s.writes;
@@ -386,10 +386,6 @@ WorkerStats KvsNode::AggregateStats(bool reset) {
     total.shortcut_hits += s.shortcut_hits;
     total.misses += s.misses;
     total.wrong_owner += s.wrong_owner;
-    total.busy_us += s.busy_us;
-    for (auto& hk : s.hot_keys) total.hot_keys.push_back(hk);
-    total.key_freq_mean += s.key_freq_mean / workers_.size();
-    total.key_freq_stddev += s.key_freq_stddev / workers_.size();
   }
   return total;
 }

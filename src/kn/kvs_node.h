@@ -95,8 +95,8 @@ class KvsNode {
   /// cached batch identified by the ack's base.
   void OnBatchMerged(const dpm::MergeAck& ack) EXCLUDES(merge_mu_);
 
-  /// Aggregated statistics across workers.
-  WorkerStats AggregateStats(bool reset);
+  /// Cumulative statistics summed across workers.
+  WorkerStats AggregateStats();
 
   /// Requests submitted whose completion callback has not fired yet.
   /// Zero once the node is stopped or failed — the chaos harness gates on

@@ -391,25 +391,5 @@ uint64_t Fabric::TotalRoundTrips() const {
   return total;
 }
 
-uint64_t Fabric::TotalWireBytes() const {
-  uint64_t total = 0;
-  for (const NodeMetrics& m : counters_) total += m.wire_bytes.value();
-  return total;
-}
-
-void Fabric::ResetCounters() {
-  doorbell_batches_.Reset();
-  doorbell_fused_ops_.Reset();
-  doorbell_saved_rts_.Reset();
-  for (NodeMetrics& m : counters_) {
-    m.round_trips.Reset();
-    m.wire_bytes.Reset();
-    m.one_sided_reads.Reset();
-    m.one_sided_writes.Reset();
-    m.cas_ops.Reset();
-    m.rpcs.Reset();
-  }
-}
-
 }  // namespace net
 }  // namespace dinomo

@@ -218,10 +218,6 @@ class Fabric {
   NodeCounters counters(int node) const;
 
   uint64_t TotalRoundTrips() const;
-  uint64_t TotalWireBytes() const;
-
-  /// Zeroes this fabric's per-node counters (between experiment phases).
-  void ResetCounters();
 
  private:
   /// Live counters for one initiating node, registered with the metrics

@@ -29,10 +29,7 @@ MetricsSnapshot MetricsSnapshot::DeltaSince(const MetricsSnapshot& base) const {
   MetricsSnapshot d;
   for (const auto& [name, value] : counters) {
     auto it = base.counters.find(name);
-    const uint64_t before = it == base.counters.end() ? 0 : it->second;
-    // A counter that was reset between snapshots reads as its absolute
-    // value rather than wrapping around.
-    d.counters[name] = value >= before ? value - before : value;
+    d.counters[name] = value - (it == base.counters.end() ? 0 : it->second);
   }
   d.gauges = gauges;
   d.histograms = histograms;
@@ -271,11 +268,6 @@ bool MetricsRegistry::Has(std::string_view name) const {
   return false;
 }
 
-size_t MetricsRegistry::NumMetrics() const {
-  MutexLock lock(mu_);
-  return entries_.size();
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MutexLock lock(mu_);
   MetricsSnapshot snap;
@@ -302,26 +294,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.histograms[name] = HistogramStats::From(hist);
   }
   return snap;
-}
-
-void MetricsRegistry::ResetAll() {
-  MutexLock lock(mu_);
-  retired_counters_.clear();
-  retired_gauges_.clear();
-  retired_histograms_.clear();
-  for (const Entry& e : entries_) {
-    switch (e.kind) {
-      case Kind::kCounter:
-        static_cast<Counter*>(e.metric)->Reset();
-        break;
-      case Kind::kGauge:
-        static_cast<Gauge*>(e.metric)->Reset();
-        break;
-      case Kind::kHistogram:
-        static_cast<HistogramMetric*>(e.metric)->Reset();
-        break;
-    }
-  }
 }
 
 // ----- Scope / MetricGroup -----
@@ -374,13 +346,6 @@ HistogramMetric& MetricGroup::histogram(std::string_view leaf) {
   histogram_names_.emplace(std::string(leaf), h);
   scope_.reg().RegisterHistogram(scope_.Name(leaf), h);
   return *h;
-}
-
-void MetricGroup::ResetAll() {
-  MutexLock lock(mu_);
-  for (Counter& c : counters_) c.Reset();
-  for (Gauge& g : gauges_) g.Reset();
-  for (HistogramMetric& h : histograms_) h.Reset();
 }
 
 }  // namespace obs

@@ -39,15 +39,15 @@ namespace obs {
 /// lookups happen at registration time only — components cache the
 /// metric pointers.
 
-/// Monotonic event count. Thread-safe; increments are one relaxed
-/// fetch_add.
+/// Monotonic event count: it never decreases, so a reader that wants a
+/// window records a baseline and subtracts it (MetricsSnapshot::
+/// DeltaSince). Thread-safe; increments are one relaxed fetch_add.
 class Counter {
  public:
   void Inc(uint64_t delta = 1) {
     v_.fetch_add(delta, std::memory_order_relaxed);
   }
   uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> v_{0};
@@ -64,7 +64,6 @@ class Gauge {
     }
   }
   double value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0.0); }
 
  private:
   std::atomic<double> v_{0.0};
@@ -100,10 +99,6 @@ class HistogramMetric {
     MutexLock lock(mu_);
     hist_.Merge(snap);
   }
-  void Reset() {
-    MutexLock lock(mu_);
-    hist_.Reset();
-  }
 
  private:
   mutable Mutex mu_;
@@ -131,9 +126,10 @@ struct MetricsSnapshot {
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramStats> histograms;
 
-  /// Counter deltas against an earlier snapshot (counters that vanished in
-  /// between are dropped); gauges and histograms keep their current
-  /// values, since levels and percentiles have no meaningful difference.
+  /// Counter deltas against an earlier snapshot of the same registry
+  /// (counters never decrease; ones that appeared since read as their
+  /// value); gauges and histograms keep their current values, since
+  /// levels and percentiles have no meaningful difference.
   MetricsSnapshot DeltaSince(const MetricsSnapshot& base) const;
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {name: {count,
@@ -183,11 +179,8 @@ class MetricsRegistry {
   /// Value of the gauge registered under `name` (last registration wins).
   double GaugeValue(std::string_view name) const;
   bool Has(std::string_view name) const;
-  size_t NumMetrics() const;
 
   MetricsSnapshot Snapshot() const;
-  /// Zeroes every registered metric (between experiment phases).
-  void ResetAll();
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
@@ -256,9 +249,6 @@ class MetricGroup {
 
   const std::string& prefix() const { return scope_.prefix; }
   MetricsRegistry& registry() const { return scope_.reg(); }
-
-  /// Zeroes every metric in this group only.
-  void ResetAll();
 
  private:
   Scope scope_;

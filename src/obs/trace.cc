@@ -9,7 +9,7 @@ namespace dinomo {
 namespace obs {
 
 namespace internal {
-thread_local TraceContext* t_trace_ctx = nullptr;
+constinit thread_local TraceContext* t_trace_ctx = nullptr;
 }  // namespace internal
 
 namespace {
@@ -149,8 +149,8 @@ void Tracer::ResetForMeasurement() {
   for (size_t k = 0; k < static_cast<size_t>(SpanKind::kNumKinds); ++k) {
     phase_total_us_[k] = 0.0;
     phase_count_[k] = 0;
-    if (phase_hist_[k] != nullptr) phase_hist_[k]->Reset();
   }
+  std::fill(std::begin(published_), std::end(published_), 0);
 }
 
 uint64_t Tracer::dropped_spans() const {
@@ -213,18 +213,23 @@ bool Tracer::WriteChromeTrace(const std::string& path, std::string* err) {
 
 void Tracer::PublishSummary() {
   MetricsRegistry& registry = reg();
-  auto publish_counter = [&registry](const char* name, uint64_t value) {
-    Counter& c = registry.GetCounter(name);
-    c.Reset();
-    c.Inc(value);
-  };
-  publish_counter("trace.sampled_requests", sampled_requests());
-  publish_counter("trace.spans", spans_recorded());
-  publish_counter("trace.dropped_spans", dropped_spans());
-  publish_counter("trace.round_trips", trace_round_trips());
-  publish_counter("trace.opcost_round_trips", opcost_round_trips());
-  publish_counter("trace.wire_bytes",
-                  trace_bytes_.load(std::memory_order_relaxed));
+  static constexpr const char* kNames[kSummaryCounters] = {
+      "trace.sampled_requests", "trace.spans",
+      "trace.dropped_spans",    "trace.round_trips",
+      "trace.opcost_round_trips", "trace.wire_bytes"};
+  const uint64_t totals[kSummaryCounters] = {
+      sampled_requests(),   spans_recorded(),     dropped_spans(),
+      trace_round_trips(), opcost_round_trips(),
+      trace_bytes_.load(std::memory_order_relaxed)};
+  {
+    // Registry counters never decrease: add what accumulated since the
+    // previous publish.
+    MutexLock lock(attr_mu_);
+    for (size_t i = 0; i < kSummaryCounters; ++i) {
+      registry.GetCounter(kNames[i]).Inc(totals[i] - published_[i]);
+      published_[i] = totals[i];
+    }
+  }
   const uint64_t sampled = sampled_requests();
   registry.GetGauge("trace.rts_per_op")
       .Set(sampled > 0

@@ -142,7 +142,10 @@ class Tracer {
   /// gate (`trace.round_trips` vs `trace.opcost_round_trips`).
   void AccountRequest(uint32_t opcost_round_trips);
 
-  /// Clears the ring, counters and attribution (keeps configuration).
+  /// Clears the ring, counters and attribution (keeps configuration). The
+  /// registry's trace.* metrics are not reset: the phase histograms keep
+  /// every recorded span, and the next PublishSummary adds what this
+  /// measurement accumulates.
   void ResetForMeasurement();
 
   uint64_t spans_recorded() const {
@@ -169,7 +172,8 @@ class Tracer {
 
   /// Publishes the attribution summary into the configured registry:
   /// trace.sampled_requests / spans / dropped_spans / round_trips /
-  /// opcost_round_trips / wire_bytes counters, trace.rts_per_op and
+  /// opcost_round_trips / wire_bytes counters (each call adds the growth
+  /// since the previous one), trace.rts_per_op and
   /// per-phase trace.phase.<name>.share gauges. The per-phase duration
   /// histograms stream in at Record() time.
   void PublishSummary();
@@ -207,6 +211,9 @@ class Tracer {
   uint64_t phase_count_[static_cast<size_t>(SpanKind::kNumKinds)] GUARDED_BY(
       attr_mu_) = {};
   HistogramMetric* phase_hist_[static_cast<size_t>(SpanKind::kNumKinds)] = {};
+  // Summary counter values at the last PublishSummary.
+  static constexpr size_t kSummaryCounters = 6;
+  uint64_t published_[kSummaryCounters] GUARDED_BY(attr_mu_) = {};
 };
 
 /// Per-request trace state, carried by pointer through the request path
@@ -298,7 +305,9 @@ class TraceContext {
 /// fabric op, and CI gates it at <= 2% of a remote index lookup
 /// (trace.overhead.disabled_pct in micro_index).
 namespace internal {
-extern thread_local TraceContext* t_trace_ctx;
+// constinit: a constant-initialized TLS variable is read directly, with
+// no TLS wrapper call.
+extern constinit thread_local TraceContext* t_trace_ctx;
 }  // namespace internal
 
 inline TraceContext* CurrentTraceContext() { return internal::t_trace_ctx; }

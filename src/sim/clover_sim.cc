@@ -39,11 +39,7 @@ void CloverSim::Preload() {
     kn::OpResult r = loader->Put(workload::KeyForRecord(rec), value);
     DINOMO_CHECK(r.status.ok());
   }
-  store_->fabric()->ResetCounters();
-  for (auto& k : kns_) {
-    for (auto& ws : k->workers) ws->kn->ResetStats();
-  }
-  ops_executed_ = 0;
+  profile_base_ = CountProfile();  // the load phase is not profiled
 }
 
 void CloverSim::Run(double duration_us, double warmup_us) {
@@ -112,23 +108,29 @@ double CloverSim::TryServe(const workload::WorkloadOp& op,
   return Serve(r, /*async_worker=*/false, &ws->free_until, start_us);
 }
 
-CloverSim::Profile CloverSim::CollectProfile() const {
-  Profile p;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
+CloverSim::ProfileCounts CloverSim::CountProfile() const {
+  ProfileCounts c;
   for (const auto& k : kns_) {
     for (const auto& ws : k->workers) {
-      const cache::CacheStats& cs = ws->kn->stats();
-      hits += cs.value_hits + cs.shortcut_hits;
-      misses += cs.misses;
+      const cache::CacheStats cs = ws->kn->stats();
+      c.hits += cs.value_hits + cs.shortcut_hits;
+      c.misses += cs.misses;
     }
   }
-  p.ops = hits + misses;
+  c.rts = store_->fabric()->TotalRoundTrips();
+  c.ops = ops_executed_;
+  return c;
+}
+
+CloverSim::Profile CloverSim::CollectProfile() const {
+  const ProfileCounts now = CountProfile();
+  const uint64_t hits = now.hits - profile_base_.hits;
+  const uint64_t ops = now.ops - profile_base_.ops;
+  Profile p;
+  p.ops = hits + now.misses - profile_base_.misses;
   if (p.ops > 0) p.cache_hit_ratio = static_cast<double>(hits) / p.ops;
-  if (ops_executed_ > 0) {
-    p.rts_per_op =
-        static_cast<double>(store_->fabric()->TotalRoundTrips()) /
-        ops_executed_;
+  if (ops > 0) {
+    p.rts_per_op = static_cast<double>(now.rts - profile_base_.rts) / ops;
   }
   return p;
 }

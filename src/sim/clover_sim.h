@@ -53,6 +53,7 @@ class CloverSim : public Driver {
     double rts_per_op = 0.0;
     uint64_t ops = 0;
   };
+  /// Profile of the traffic since Preload.
   Profile CollectProfile() const;
 
   void ScheduleKill(double at_us, int kn_index);
@@ -73,6 +74,15 @@ class CloverSim : public Driver {
     bool routable = true;  // false once clients learned of the failure
   };
 
+  /// The cumulative counts a Profile is the window delta of.
+  struct ProfileCounts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t rts = 0;
+    uint64_t ops = 0;  // ops_executed_
+  };
+  ProfileCounts CountProfile() const;
+
   double TryServe(const workload::WorkloadOp& op, const std::string& put_value,
                   obs::TraceContext* trace, bool async_worker,
                   const std::function<void()>& retry,
@@ -85,6 +95,7 @@ class CloverSim : public Driver {
   std::vector<std::unique_ptr<KnSim>> kns_;
   uint64_t salt_ = 0;
   uint64_t ops_executed_ = 0;
+  ProfileCounts profile_base_;  // taken at the end of Preload
   bool gc_running_ = false;
 };
 

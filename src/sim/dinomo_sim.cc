@@ -154,8 +154,12 @@ void DinomoSim::Preload() {
   for (int i = 0; i < pool_->num_nodes(); ++i) {
     DINOMO_CHECK(pool_->node(i)->merge()->DrainAll().ok());
   }
-  // Measurement starts fresh: keep the warm caches, reset the counters.
-  ResetProfileWindow();
+  // Measurement starts here: the load phase is neither in the profile
+  // window nor in the M-node's first epoch.
+  for (auto& k : kns_) {
+    for (auto& ws : k->workers) ws->worker->DrainEpochLoad();
+  }
+  StartProfileWindow();
   SetFaultInjector(pool_.get(), injector_.get());
 }
 
@@ -300,9 +304,9 @@ void DinomoSim::OnMergeFinished(const dpm::MergeAck& ack) {
 void DinomoSim::RunOpenLoop(const OpenLoopOptions& opts, double duration_us,
                             double warmup_us) {
   DINOMO_CHECK(opts.source != nullptr);
-  // The autoscaler consumes the per-epoch occupancy counters that the
-  // M-node's metrics collection also resets; running both would corrupt
-  // both.
+  // The autoscaler and the M-node's metrics collection both consume, and
+  // restart, the sim's per-epoch accumulators (KnSim::busy_us_epoch and
+  // interval_latency_); running both would corrupt both.
   DINOMO_CHECK(!opts.autoscale || !mnode_enabled_);
   const double now = engine_.now_us();
   open_source_ = opts.source;
@@ -346,12 +350,7 @@ void DinomoSim::ScheduleNextArrival() {
   engine_.ScheduleAt(at, [this, timed] {
     OpenLoopStats& stats = *open_stats_;
     stats.offered++;
-    const size_t widx =
-        static_cast<size_t>(timed.intended_us / stats.windows.window_us());
-    if (stats.offered_per_window.size() <= widx) {
-      stats.offered_per_window.resize(widx + 1);
-    }
-    stats.offered_per_window[widx]++;
+    stats.windows.RecordArrival(timed.intended_us);
     open_interval_offered_++;
     auto op = std::make_shared<InflightOp>();
     op->op = timed.op;
@@ -398,42 +397,44 @@ void DinomoSim::AutoscalerEval() {
   }
 }
 
-void DinomoSim::ResetProfileWindow() {
-  for (int i = 0; i < pool_->num_nodes(); ++i) {
-    pool_->node(i)->fabric()->ResetCounters();
-  }
-  for (auto& k : kns_) {
-    for (auto& ws : k->workers) {
-      ws->worker->SnapshotStats(/*reset=*/true);
-      ws->worker->cache()->ResetStats();
+void DinomoSim::StartProfileWindow() { profile_base_ = CountProfile(); }
+
+DinomoSim::ProfileCounts DinomoSim::CountProfile() const {
+  ProfileCounts c;
+  for (const auto& k : kns_) {
+    for (const auto& ws : k->workers) {
+      const kn::WorkerStats stats = ws->worker->SnapshotStats();
+      c.value_hits += stats.value_hits;
+      c.hits += stats.value_hits + stats.shortcut_hits;
+      c.lookups += stats.value_hits + stats.shortcut_hits + stats.misses;
+      // Round trips per *request*: reads, writes and scans all count.
+      c.requests += stats.reads + stats.writes + stats.scans;
+      c.scans += stats.scans;
     }
   }
+  for (int n = 0; n < pool_->num_nodes(); ++n) {
+    c.rts += pool_->node(n)->fabric()->TotalRoundTrips();
+  }
+  return c;
 }
 
 DinomoSim::Profile DinomoSim::CollectProfile() const {
+  // Every count is monotonic and no worker or DPM node is ever destroyed,
+  // so the window is the difference of the sums.
+  const ProfileCounts now = CountProfile();
+  const ProfileCounts& base = profile_base_;
+  const uint64_t value_hits = now.value_hits - base.value_hits;
+  const uint64_t hits = now.hits - base.hits;
   Profile p;
-  uint64_t value_hits = 0;
-  uint64_t hits = 0;
-  uint64_t requests = 0;
-  for (const auto& k : kns_) {
-    for (const auto& ws : k->workers) {
-      const cache::CacheStats& cs = ws->worker->cache()->stats();
-      value_hits += cs.value_hits;
-      hits += cs.value_hits + cs.shortcut_hits;
-      p.ops += cs.value_hits + cs.shortcut_hits + cs.misses;
-      // Round trips per *request*: reads, writes and scans all count.
-      const kn::WorkerStats stats = ws->worker->SnapshotStats(false);
-      requests += stats.reads + stats.writes + stats.scans;
-      p.scans += stats.scans;
-    }
-  }
+  p.ops = now.lookups - base.lookups;
+  p.scans = now.scans - base.scans;
+  p.requests = now.requests - base.requests;
+  p.round_trips = now.rts - base.rts;
   if (p.ops > 0) p.cache_hit_ratio = static_cast<double>(hits) / p.ops;
   if (hits > 0) p.value_hit_share = static_cast<double>(value_hits) / hits;
-  uint64_t rts = 0;
-  for (int n = 0; n < pool_->num_nodes(); ++n) {
-    rts += pool_->node(n)->fabric()->TotalRoundTrips();
+  if (p.requests > 0) {
+    p.rts_per_op = static_cast<double>(p.round_trips) / p.requests;
   }
-  if (requests > 0) p.rts_per_op = static_cast<double>(rts) / requests;
   return p;
 }
 

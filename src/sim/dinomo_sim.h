@@ -91,15 +91,15 @@ class DinomoSim : public Driver, private Runtime {
 
   // ----- Results (throughput and latency: see Driver) -----
 
-  /// Restarts the profile window: fabric round-trip counters, worker op
-  /// counters, and cache hit/miss stats all reset to zero (warm state —
-  /// caches, indexes, logs — is untouched). Benchmarks call this between
-  /// a warmup Run and the measured Run so CollectProfile only sees
-  /// measured-phase traffic; Preload does the same reset internally.
-  void ResetProfileWindow();
+  /// Starts a new profile window: records the fabric round trips, worker
+  /// request counts and cache stats as the baseline CollectProfile
+  /// subtracts. Nothing is reset. Benchmarks call this between a warmup
+  /// Run and the measured Run so CollectProfile only sees measured-phase
+  /// traffic; Preload calls it last.
+  void StartProfileWindow();
 
-  /// Table-6 style profile, aggregated across all KNs since Preload (or
-  /// the most recent ResetProfileWindow).
+  /// Table-6 style profile, aggregated across all KNs since the most
+  /// recent StartProfileWindow.
   struct Profile {
     double cache_hit_ratio = 0.0;
     double value_hit_share = 0.0;
@@ -108,6 +108,10 @@ class DinomoSim : public Driver, private Runtime {
     /// Range scans served (kScan requests; not part of `ops`, which
     /// counts point lookups by cache outcome).
     uint64_t scans = 0;
+    /// Requests served (reads, writes and scans) and the fabric round
+    /// trips they took: rts_per_op = round_trips / requests.
+    uint64_t requests = 0;
+    uint64_t round_trips = 0;
   };
   Profile CollectProfile() const;
 
@@ -126,7 +130,8 @@ class DinomoSim : public Driver, private Runtime {
     /// Payload for Put-type ops.
     size_t value_size = 1024;
     /// Windowed-p99 SLO autoscaler (mutually exclusive with EnableMnode:
-    /// both would consume the per-epoch occupancy counters).
+    /// both would consume the sim's per-epoch busy time and interval
+    /// latency).
     bool autoscale = false;
     mnode::SloAutoscalerParams autoscaler;
     /// Autoscaler evaluation interval, us.
@@ -174,6 +179,17 @@ class DinomoSim : public Driver, private Runtime {
   };
 
   KnSim* FindKn(uint64_t kn_id);
+
+  /// The cumulative counts a Profile is the window delta of.
+  struct ProfileCounts {
+    uint64_t value_hits = 0;
+    uint64_t hits = 0;
+    uint64_t lookups = 0;
+    uint64_t requests = 0;
+    uint64_t scans = 0;
+    uint64_t rts = 0;
+  };
+  ProfileCounts CountProfile() const;
 
   double TryServe(const workload::WorkloadOp& op, const std::string& put_value,
                   obs::TraceContext* trace, bool async_worker,
@@ -229,6 +245,8 @@ class DinomoSim : public Driver, private Runtime {
   uint64_t next_kn_id_ = 1;
 
   uint64_t salt_ = 0;
+
+  ProfileCounts profile_base_;
 
   bool mnode_enabled_ = false;
   double epoch_started_ = 0.0;

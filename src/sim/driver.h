@@ -57,11 +57,9 @@ struct RunStats {
   uint64_t completed_after_warmup = 0;
   uint64_t abandoned = 0;   // retry budget exhausted
   uint64_t in_flight_at_end = 0;
-  /// Completions with intended-basis latency, per stats window.
+  /// Arrivals, and completions with intended-basis latency, per stats
+  /// window.
   WindowStats windows;
-  /// Arrivals per stats window (indexed like `windows`), i.e. the
-  /// offered-load curve actually generated.
-  std::vector<uint64_t> offered_per_window;
   /// (virtual us, active KNs) after each autoscaler evaluation.
   std::vector<std::pair<double, int>> kn_trajectory;
   int scale_ups = 0;

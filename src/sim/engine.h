@@ -123,21 +123,24 @@ class PoolModel {
   double busy_us_ = 0.0;
 };
 
-/// Time-series collector: completed operations and latency, bucketed into
-/// fixed windows of virtual time (the 10-second samples of the paper's
-/// timelines, scaled down).
+/// Time-series collector: arrivals, completed operations and latency,
+/// bucketed into fixed windows of virtual time (the 10-second samples of
+/// the paper's timelines, scaled down).
 class WindowStats {
  public:
   explicit WindowStats(double window_us) : window_us_(window_us) {}
 
+  /// An open-loop arrival, bucketed by its intended time.
+  void RecordArrival(double intended_us) { At(intended_us).offered++; }
   void Record(double completion_time_us, double latency_us) {
-    const size_t idx = static_cast<size_t>(completion_time_us / window_us_);
-    if (windows_.size() <= idx) windows_.resize(idx + 1);
-    windows_[idx].completed++;
-    windows_[idx].latency.Add(latency_us);
+    Window& w = At(completion_time_us);
+    w.completed++;
+    w.latency.Add(latency_us);
   }
 
   struct Window {
+    /// Arrivals (open loop only): the offered-load curve generated.
+    uint64_t offered = 0;
     uint64_t completed = 0;
     Histogram latency;
   };
@@ -152,6 +155,12 @@ class WindowStats {
   }
 
  private:
+  Window& At(double t_us) {
+    const size_t idx = static_cast<size_t>(t_us / window_us_);
+    if (windows_.size() <= idx) windows_.resize(idx + 1);
+    return windows_[idx];
+  }
+
   double window_us_;
   std::vector<Window> windows_;
 };

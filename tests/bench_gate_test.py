@@ -127,6 +127,9 @@ FAILING = {
     "sim_zero_fabric_rts": (
         "fig5_scalability",
         lambda d: set_counters(d, "fabric.", ".round_trips", 0)),
+    # fig6: M-node epochs must not wipe the KN cache counters
+    "fig6_cache_counters_zeroed": (
+        "fig6_autoscaling", lambda d: set_counters(d, "cache.", "", 0)),
     # PM checker violations
     "pm_violations": ("table5_pmcheck", pm_violation("pm.check.violations")),
     "pm_dirty_at_publication": (

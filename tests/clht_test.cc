@@ -214,7 +214,6 @@ TEST_F(ClhtTest, RemoteLookupMissReportsHops) {
 TEST_F(ClhtTest, RemoteLookupChargesOneRtPerHop) {
   ASSERT_TRUE(table_->Upsert(5, Val(5)).ok());
   auto handle = table_->FetchRemoteHandle(&fabric_, 2);
-  fabric_.ResetCounters();
   net::OpCost cost;
   {
     net::ScopedOpCost scope(&cost);

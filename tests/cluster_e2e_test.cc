@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/cluster.h"
+#include "obs/metrics.h"
 
 namespace dinomo {
 namespace {
@@ -327,6 +328,75 @@ TEST(ClusterMetricsTest, CollectsOccupancyAndHotKeys) {
   ASSERT_FALSE(metrics.hot_keys.empty());
   EXPECT_EQ(metrics.hot_keys[0].first, kn::KeyHash(Slice("hotkey")));
   EXPECT_GT(metrics.avg_latency_us, 0.0);
+  cluster.Stop();
+}
+
+// The M-node's epochs drain only their own inputs: worker counts and the
+// registry's cache counters keep growing across RunPolicyOnce, and a
+// registry delta across two epochs is exactly the traffic in between.
+TEST(ClusterMetricsTest, PolicyEpochsLeaveCountersMonotonic) {
+  obs::MetricsRegistry reg;
+  ClusterOptions opt = SmallCluster(SystemVariant::kDinomo, 2);
+  opt.kn.metrics = &reg;
+  opt.dpm.metrics = &reg;
+  opt.policy.avg_latency_slo_us = 1e12;  // observe only, never act
+  opt.policy.tail_latency_slo_us = 1e12;
+  opt.policy.min_kns = 2;
+  Cluster cluster(opt);
+  ASSERT_TRUE(cluster.Start().ok());
+  auto client = cluster.NewClient();
+  constexpr int kKeys = 64;
+  auto get_all = [&] {
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(client->Get("key-" + std::to_string(i)).ok());
+    }
+  };
+  auto totals = [&] {
+    kn::WorkerStats t;
+    for (uint64_t id : cluster.ActiveKns()) {
+      const kn::WorkerStats s = cluster.kn(id)->AggregateStats();
+      t.reads += s.reads;
+      t.writes += s.writes;
+      t.value_hits += s.value_hits;
+      t.shortcut_hits += s.shortcut_hits;
+      t.misses += s.misses;
+    }
+    return t;
+  };
+  auto cache_lookups = [](const obs::MetricsSnapshot& snap) {
+    uint64_t sum = 0;
+    for (const auto& [name, value] : snap.counters) {
+      if (name.rfind("cache.", 0) == 0 &&
+          (name.ends_with(".value_hits") || name.ends_with(".shortcut_hits") ||
+           name.ends_with(".misses"))) {
+        sum += value;
+      }
+    }
+    return sum;
+  };
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(client->Put("key-" + std::to_string(i), "v").ok());
+  }
+  get_all();
+  cluster.RunPolicyOnce(1.0, 1.0);
+  const kn::WorkerStats s1 = totals();
+  const obs::MetricsSnapshot snap1 = reg.Snapshot();
+  get_all();
+  get_all();
+  cluster.RunPolicyOnce(2.0, 1.0);
+  const kn::WorkerStats s2 = totals();
+  const obs::MetricsSnapshot snap2 = reg.Snapshot();
+
+  EXPECT_GE(s1.reads, uint64_t{kKeys});
+  EXPECT_GE(s2.writes, s1.writes);
+  EXPECT_EQ(s2.reads - s1.reads, uint64_t{2 * kKeys});
+  EXPECT_EQ(s2.value_hits + s2.shortcut_hits + s2.misses -
+                (s1.value_hits + s1.shortcut_hits + s1.misses),
+            uint64_t{2 * kKeys});
+  for (const auto& [name, value] : snap1.counters) {
+    EXPECT_GE(snap2.counters.at(name), value) << name;
+  }
+  EXPECT_EQ(cache_lookups(snap2.DeltaSince(snap1)), uint64_t{2 * kKeys});
   cluster.Stop();
 }
 

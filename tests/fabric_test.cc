@@ -156,16 +156,6 @@ TEST_F(FabricTest, LatencyModelComposesRtsAndBytes) {
   EXPECT_NEAR(cost.LatencyUs(profile), 3 * 2.0 + 1.0, 1e-9);
 }
 
-TEST_F(FabricTest, ResetCountersZeroesEverything) {
-  char buf[8] = {};
-  fabric_.Read(0, 64, buf, 8);
-  fabric_.ChargeRpc(1, 10, 10, 1.0);
-  fabric_.ResetCounters();
-  EXPECT_EQ(fabric_.TotalRoundTrips(), 0u);
-  EXPECT_EQ(fabric_.TotalWireBytes(), 0u);
-  EXPECT_EQ(fabric_.counters(1).rpcs, 0u);
-}
-
 TEST_F(FabricTest, TransferTimeScalesWithBytes) {
   LinkProfile profile;
   EXPECT_GT(profile.TransferUs(8 * 1024 * 1024), profile.TransferUs(64));

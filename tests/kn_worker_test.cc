@@ -194,7 +194,7 @@ TEST_F(KnWorkerTest, WrongOwnerRejected) {
   EXPECT_TRUE(worker_->Get("k").status.IsWrongOwner());
   EXPECT_TRUE(worker_->Put("k", "v").status.IsWrongOwner());
   EXPECT_TRUE(worker_->Delete("k").status.IsWrongOwner());
-  EXPECT_EQ(worker_->SnapshotStats(false).wrong_owner, 3u);
+  EXPECT_EQ(worker_->SnapshotStats().wrong_owner, 3u);
 }
 
 TEST_F(KnWorkerTest, OwnershipAcceptedWhenRingNamesThisKn) {
@@ -333,14 +333,17 @@ TEST_F(KnWorkerTest, CollidingHashKeysDoNotAlias) {
 TEST_F(KnWorkerTest, StatsTrackHotKeys) {
   for (int i = 0; i < 50; ++i) worker_->Put("hot", "v");
   worker_->Put("cold", "v");
-  auto stats = worker_->SnapshotStats(true);
-  ASSERT_FALSE(stats.hot_keys.empty());
-  EXPECT_EQ(stats.hot_keys[0].first, KeyHash(Slice("hot")));
-  EXPECT_EQ(stats.hot_keys[0].second, 50u);
-  EXPECT_GT(stats.key_freq_mean, 0.0);
-  // Reset: second snapshot is empty.
-  auto stats2 = worker_->SnapshotStats(false);
-  EXPECT_TRUE(stats2.hot_keys.empty());
+  auto load = worker_->DrainEpochLoad();
+  ASSERT_FALSE(load.hot_keys.empty());
+  EXPECT_EQ(load.hot_keys[0].first, KeyHash(Slice("hot")));
+  EXPECT_EQ(load.hot_keys[0].second, 50u);
+  EXPECT_GT(load.key_freq_mean, 0.0);
+  EXPECT_GT(load.busy_us, 0.0);
+  // Drained: the next epoch starts empty, the cumulative counts do not.
+  auto load2 = worker_->DrainEpochLoad();
+  EXPECT_TRUE(load2.hot_keys.empty());
+  EXPECT_EQ(load2.busy_us, 0.0);
+  EXPECT_EQ(worker_->SnapshotStats().writes, 51u);
 }
 
 TEST_F(KnWorkerTest, LargeValuesRoundTrip) {
@@ -477,7 +480,7 @@ TEST_F(KnWorkerTest, ScanCountsInStats) {
   std::vector<ScanRow> rows;
   ASSERT_TRUE(worker_->Scan(Slice("a"), 1, &rows).status.ok());
   ASSERT_EQ(rows.size(), 1u);
-  auto stats = worker_->SnapshotStats(/*reset=*/false);
+  auto stats = worker_->SnapshotStats();
   EXPECT_EQ(stats.scans, 1u);
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/clover_sim.h"
 #include "sim/dinomo_sim.h"
 #include "sim/engine.h"
@@ -218,6 +220,77 @@ TEST(DinomoSimTest, MnodeRemovesIdleKn) {
   sim.EnableMnode();
   sim.Run(2e6, 0);
   EXPECT_LT(sim.NumActiveKns(), 3);
+}
+
+// Policy parameters under which the M-node observes every epoch but never
+// acts: no SLO can be violated and no KN removed.
+void ObserveOnly(DinomoSimOptions* opt) {
+  opt->policy.avg_latency_slo_us = 1e12;
+  opt->policy.tail_latency_slo_us = 1e12;
+  opt->policy.min_kns = opt->num_kns;
+  opt->policy.max_kns = opt->num_kns;
+}
+
+// Sum of the counters named <prefix>...<suffix> in `snap`.
+uint64_t SumCounters(const obs::MetricsSnapshot& snap, std::string_view prefix,
+                     std::string_view suffix) {
+  uint64_t sum = 0;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.size() >= prefix.size() + suffix.size() &&
+        name.compare(0, prefix.size(), prefix) == 0 &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      sum += value;
+    }
+  }
+  return sum;
+}
+
+TEST(DinomoSimTest, MnodeEpochsKeepCacheCounters) {
+  obs::MetricsRegistry reg;
+  auto opt = SmallSim(SystemVariant::kDinomo, 2);
+  opt.metrics = &reg;
+  opt.spec = workload::WorkloadSpec::ReadOnly(5000, 0.99);
+  opt.spec.value_size = 256;
+  opt.mnode_epoch_us = 50e3;
+  ObserveOnly(&opt);
+  DinomoSim sim(opt);
+  sim.Preload();
+  const obs::MetricsSnapshot base = reg.Snapshot();
+  sim.EnableMnode();
+  sim.Run(300e3, 0);  // six epochs
+  const obs::MetricsSnapshot d = reg.Snapshot().DeltaSince(base);
+  const uint64_t lookups = SumCounters(d, "cache.", ".value_hits") +
+                           SumCounters(d, "cache.", ".shortcut_hits") +
+                           SumCounters(d, "cache.", ".misses");
+  EXPECT_GT(lookups, 0u);
+  // Read-only traffic: every op a worker served made one cache lookup.
+  EXPECT_EQ(lookups, SumCounters(d, "kn.kn", ".ops"));
+  // The worker caches' own stats agree with the registry.
+  EXPECT_EQ(lookups, sim.CollectProfile().ops);
+}
+
+TEST(DinomoSimTest, MnodeEpochLeavesProfileWindowAlone) {
+  auto run = [](bool mnode) {
+    auto opt = SmallSim(SystemVariant::kDinomo, 2);
+    opt.mnode_epoch_us = 100e3;
+    ObserveOnly(&opt);
+    DinomoSim sim(opt);
+    sim.Preload();
+    if (mnode) sim.EnableMnode();
+    sim.Run(250e3, 0);
+    return sim.CollectProfile();
+  };
+  const DinomoSim::Profile plain = run(false);
+  const DinomoSim::Profile epochs = run(true);
+  EXPECT_GT(plain.ops, 0u);
+  EXPECT_EQ(epochs.ops, plain.ops);
+  EXPECT_EQ(epochs.scans, plain.scans);
+  EXPECT_EQ(epochs.requests, plain.requests);
+  EXPECT_EQ(epochs.round_trips, plain.round_trips);
+  EXPECT_EQ(epochs.cache_hit_ratio, plain.cache_hit_ratio);
+  EXPECT_EQ(epochs.value_hit_share, plain.value_hit_share);
+  EXPECT_EQ(epochs.rts_per_op, plain.rts_per_op);
 }
 
 TEST(DinomoSimTest, LoadChangeTakesEffect) {
