@@ -96,7 +96,9 @@ bool KeyResolves(dpm::DpmNode* node, uint64_t key_hash) {
   if (raw == pm::kNullPmPtr) return false;
   dpm::ValuePtr vp(raw);
   std::string buf(vp.entry_size(), '\0');
-  node->fabric()->Read(0, vp.offset(), buf.data(), buf.size());
+  if (!node->fabric()->Read(0, vp.offset(), buf.data(), buf.size()).ok()) {
+    return false;
+  }
   dpm::LogRecord rec;
   size_t consumed = 0;
   return dpm::DecodeEntry(buf.data(), buf.size(), &rec, &consumed).ok();

@@ -95,7 +95,7 @@ void BM_ClhtRemoteLookup(benchmark::State& state) {
   for (uint64_t k = 1; k <= 100000; ++k) {
     (void)fx.table->Upsert(k, 1024 + k * 8);
   }
-  auto handle = fx.table->FetchRemoteHandle(&fx.fabric, 0);
+  const auto handle = *fx.table->FetchRemoteHandle(&fx.fabric, 0);
   Random rng(4);
   uint64_t hops = 0;
   uint64_t lookups = 0;
@@ -103,7 +103,7 @@ void BM_ClhtRemoteLookup(benchmark::State& state) {
     const uint64_t k = 1 + rng.Uniform(100000);
     auto r = fx.table->RemoteLookup(&fx.fabric, 0, handle, k);
     benchmark::DoNotOptimize(r);
-    hops += r.hops;
+    hops += r->hops;
     lookups++;
   }
   state.SetItemsProcessed(state.iterations());
@@ -124,7 +124,7 @@ void BM_TraceOverhead(benchmark::State& state) {
   for (uint64_t k = 1; k <= 100000; ++k) {
     (void)fx.table->Upsert(k, 1024 + k * 8);
   }
-  auto handle = fx.table->FetchRemoteHandle(&fx.fabric, 0);
+  const auto handle = *fx.table->FetchRemoteHandle(&fx.fabric, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(obs::CurrentTraceContext());
   }
@@ -166,7 +166,7 @@ void BM_TraceOverhead(benchmark::State& state) {
       const uint64_t k = 1 + rng.Uniform(100000);
       auto r = fx.table->RemoteLookup(&fx.fabric, 0, handle, k);
       benchmark::DoNotOptimize(r);
-      hops += r.hops;
+      hops += r->hops;
       lookups++;
     }
   });

@@ -157,26 +157,27 @@ CloverKn::CloverKn(CloverStore* store, int fabric_node, size_t cache_bytes)
              obs::Scope("cache.clover.kn" + std::to_string(fabric_node),
                         store->options().metrics)) {}
 
-bool CloverKn::ReadVersion(pm::PmPtr raw, uint64_t key_hash,
-                           std::string* value, pm::PmPtr* next) {
+Status CloverKn::ReadVersion(pm::PmPtr raw, uint64_t key_hash,
+                             std::string* value, pm::PmPtr* next) {
   dpm::ValuePtr vp(raw);
   if (vp.null() || vp.entry_size() < CloverStore::kVersionHeader) {
-    return false;
+    return Status::IoError("stale version pointer");
   }
   // Clover fetches the chain node first and the payload second (variable
   // sizes; Table 6 measures ~2 RTs/op for Clover even on pure reads).
   VersionHeader hdr;
-  store_->fabric()->Read(fabric_node_, vp.offset(), &hdr, sizeof(hdr));
+  DINOMO_RETURN_IF_ERROR(
+      store_->fabric()->Read(fabric_node_, vp.offset(), &hdr, sizeof(hdr)));
   if (hdr.key_hash != key_hash ||
       CloverStore::VersionSize(hdr.value_len) != vp.entry_size()) {
-    return false;  // recycled by GC
+    return Status::IoError("stale version pointer");  // recycled by GC
   }
   value->resize(hdr.value_len);
-  store_->fabric()->Read(fabric_node_,
-                         vp.offset() + CloverStore::kVersionHeader,
-                         value->data(), hdr.value_len);
+  DINOMO_RETURN_IF_ERROR(store_->fabric()->Read(
+      fabric_node_, vp.offset() + CloverStore::kVersionHeader, value->data(),
+      hdr.value_len));
   *next = hdr.next;
-  return true;
+  return Status::Ok();
 }
 
 Status CloverKn::WalkToLatest(pm::PmPtr start, uint64_t key_hash,
@@ -184,9 +185,7 @@ Status CloverKn::WalkToLatest(pm::PmPtr start, uint64_t key_hash,
   pm::PmPtr cur = start;
   for (int hops = 0; hops < 1024; ++hops) {
     pm::PmPtr next = 0;
-    if (!ReadVersion(cur, key_hash, value, &next)) {
-      return Status::IoError("stale version pointer");
-    }
+    DINOMO_RETURN_IF_ERROR(ReadVersion(cur, key_hash, value, &next));
     if (next == 0) {
       *latest = cur;
       return Status::Ok();
@@ -252,7 +251,12 @@ kn::OpResult CloverKn::Put(const Slice& key, const Slice& value) {
   }
   std::string buf(bytes, '\0');
   CloverStore::EncodeVersion(buf.data(), key_hash, value);
-  store_->fabric()->Write(fabric_node_, buf.data(), alloc.value(), bytes);
+  Status st = store_->fabric()->Write(fabric_node_, buf.data(),
+                                      alloc.value(), bytes);
+  if (!st.ok()) {
+    out.status = st;
+    return out;
+  }
   const dpm::ValuePtr new_packed = PackVersion(alloc.value(), bytes);
 
   // Find the tail, starting from the cached shortcut when possible.
@@ -265,8 +269,7 @@ kn::OpResult CloverKn::Put(const Slice& key, const Slice& value) {
       auto head = store_->MsLookup(fabric_node_, key_hash);
       if (head.status().IsNotFound()) {
         // First version of the key: install through the MS.
-        Status st = store_->MsInsert(fabric_node_, key_hash,
-                                     new_packed.raw());
+        st = store_->MsInsert(fabric_node_, key_hash, new_packed.raw());
         if (st.ok()) {
           cache_.AdmitOnWrite(key_hash, Slice(), new_packed);
           out.status = Status::Ok();
@@ -283,17 +286,18 @@ kn::OpResult CloverKn::Put(const Slice& key, const Slice& value) {
     }
     pm::PmPtr latest = 0;
     std::string scratch;
-    Status st = WalkToLatest(start, key_hash, &latest, &scratch);
+    st = WalkToLatest(start, key_hash, &latest, &scratch);
     if (!st.ok()) {
       start = 0;  // stale; restart from the MS
       continue;
     }
     // Link the new version: CAS the tail's next from 0. A lost race means
     // another KN appended first — advance and retry (the synchronization
-    // overhead of sharing, §2.2).
+    // overhead of sharing, §2.2). A dropped CAS retries like a lost race.
     const pm::PmPtr tail_off = dpm::ValuePtr(latest).offset();
-    if (store_->fabric()->CompareAndSwap64(fabric_node_, tail_off, 0,
-                                           new_packed.raw())) {
+    if (store_->fabric()
+            ->CompareAndSwap64(fabric_node_, tail_off, 0, new_packed.raw())
+            .value_or(false)) {
       cache_.AdmitOnWrite(key_hash, Slice(), new_packed);
       out.status = Status::Ok();
       return out;

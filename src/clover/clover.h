@@ -140,10 +140,11 @@ class CloverKn {
   cache::CacheStats stats() const { return cache_.stats(); }
 
  private:
-  // Reads the version at `ptr`; fills *value, *next. False if the record
-  // does not belong to key_hash (stale pointer into recycled memory).
-  bool ReadVersion(pm::PmPtr ptr, uint64_t key_hash, std::string* value,
-                   pm::PmPtr* next);
+  // Reads the version at `ptr`; fills *value, *next. IoError if the
+  // record does not belong to key_hash (stale pointer into recycled
+  // memory), or the failed read's error.
+  Status ReadVersion(pm::PmPtr ptr, uint64_t key_hash, std::string* value,
+                     pm::PmPtr* next);
 
   // Walks the chain from `start` to the newest version; returns its
   // pointer and value. Each hop is one round trip.

@@ -55,6 +55,21 @@ inline bool IsTransient(const Status& s) {
   return s.IsUnavailable() || s.IsBusy() || s.IsTimedOut();
 }
 
+/// Runs `attempt` until it returns a non-transient status (success
+/// included) or `attempts` tries are spent, and returns the last status.
+/// The retries are immediate: KN workers also run under the virtual-time
+/// engine, and injected faults are probabilistic, so back-to-back retries
+/// suffice; a caller's deadline/backoff loop owns the long game.
+template <typename Fn>
+Status RetryTransient(int attempts, Fn&& attempt) {
+  Status st;
+  for (int i = 0; i < attempts; ++i) {
+    st = attempt();
+    if (!IsTransient(st)) break;
+  }
+  return st;
+}
+
 }  // namespace dinomo
 
 #endif  // DINOMO_COMMON_BACKOFF_H_

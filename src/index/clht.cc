@@ -23,6 +23,13 @@ inline uint64_t PackHeader(uint64_t epoch, int log2_buckets) {
 inline uint64_t EpochOf(uint64_t packed) { return packed >> 8; }
 inline int Log2Of(uint64_t packed) { return static_cast<int>(packed & 0xff); }
 
+// Remote readers: header snapshots tried before giving up on a table that
+// keeps resizing, the largest bucket-array log2 whose byte size (64-byte
+// buckets) fits in 63 bits, and the chain length taken as a cycle.
+constexpr int kHeaderSnapshotAttempts = 8;
+constexpr int kMaxRemoteLog2Buckets = 63 - 6;
+constexpr uint32_t kMaxRemoteHops = 1u << 20;
+
 // Resize triggers: occupancy or an over-long chain.
 constexpr double kMaxLoadFactor = 0.70;
 constexpr uint64_t kMaxChainTrigger = 4;
@@ -449,35 +456,46 @@ void Clht::FreeRetiredTables() {
   for (pm::PmPtr p : to_free) alloc_->Free(p);
 }
 
-Clht::RemoteHandle Clht::FetchRemoteHandle(net::Fabric* fabric,
-                                           int node) const {
-  // Two reads of the header line; accept when consecutive snapshots agree
-  // (a resize swaps the pointer and the packed word in between).
-  Header snap1;
-  Header snap2;
-  fabric->Read(node, header_ptr_, &snap1, sizeof(Header));
-  while (true) {
-    fabric->Read(node, header_ptr_, &snap2, sizeof(Header));
-    if (snap1.packed == snap2.packed && snap1.buckets == snap2.buckets) {
-      break;
+Result<Clht::RemoteHandle> Clht::FetchRemoteHandle(net::Fabric* fabric,
+                                                   int node) const {
+  // Reads of the header line until two consecutive snapshots agree (a
+  // resize swaps the pointer and the packed word in between).
+  Header prev;
+  DINOMO_RETURN_IF_ERROR(
+      fabric->Read(node, header_ptr_, &prev, sizeof(Header)));
+  for (int attempt = 0; attempt < kHeaderSnapshotAttempts; ++attempt) {
+    Header cur;
+    DINOMO_RETURN_IF_ERROR(
+        fabric->Read(node, header_ptr_, &cur, sizeof(Header)));
+    if (cur.packed != prev.packed || cur.buckets != prev.buckets) {
+      prev = cur;
+      continue;
     }
-    snap1 = snap2;
+    // The bytes came off the wire: a bucket count whose array could not
+    // be addressed (or whose shift is undefined) is corruption.
+    const int log2 = Log2Of(cur.packed);
+    if (log2 > kMaxRemoteLog2Buckets) {
+      return Status::Corruption("index header bucket count out of range");
+    }
+    return RemoteHandle{EpochOf(cur.packed), cur.buckets, 1ULL << log2};
   }
-  return RemoteHandle{EpochOf(snap2.packed), snap2.buckets,
-                      1ULL << Log2Of(snap2.packed)};
+  return Status::Busy("index header kept changing");
 }
 
-Clht::RemoteResult Clht::RemoteLookup(net::Fabric* fabric, int node,
-                                      const RemoteHandle& handle,
-                                      uint64_t key) const {
+Result<Clht::RemoteResult> Clht::RemoteLookup(net::Fabric* fabric, int node,
+                                              const RemoteHandle& handle,
+                                              uint64_t key) const {
   DINOMO_CHECK(handle.valid());
   RemoteResult result;
   const uint64_t idx = Mix64(key) & (handle.num_buckets - 1);
   pm::PmPtr bucket_ptr = handle.buckets + idx * sizeof(Bucket);
   Bucket local;
   while (bucket_ptr != pm::kNullPmPtr) {
-    fabric->Read(node, bucket_ptr, &local, sizeof(Bucket));
-    result.hops++;
+    DINOMO_RETURN_IF_ERROR(
+        fabric->Read(node, bucket_ptr, &local, sizeof(Bucket)));
+    if (++result.hops > kMaxRemoteHops) {
+      return Status::Corruption("index chain cycle suspected");
+    }
     for (int s = 0; s < kSlotsPerBucket; ++s) {
       if (local.keys[s] == key) {
         result.found = true;

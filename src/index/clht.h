@@ -120,14 +120,20 @@ class Clht : public KvIndex {
 
   // ----- Remote (KN side, one-sided) operations -----
 
-  /// Reads the table header with one one-sided round trip.
-  RemoteHandle FetchRemoteHandle(net::Fabric* fabric, int node) const;
+  /// Reads the table header with one-sided reads until two consecutive
+  /// snapshots agree (two round trips without a racing resize). Returns
+  /// the failed read's error, Busy if the header kept changing, or
+  /// Corruption for a bucket count no table can have.
+  Result<RemoteHandle> FetchRemoteHandle(net::Fabric* fabric,
+                                         int node) const;
 
   /// Traverses the index with one-sided bucket reads against the array in
   /// `handle`. Each bucket line costs one round trip. The caller still
-  /// needs one more round trip to fetch the value itself.
-  RemoteResult RemoteLookup(net::Fabric* fabric, int node,
-                            const RemoteHandle& handle, uint64_t key) const;
+  /// needs one more round trip to fetch the value itself. A failed bucket
+  /// read (dropped, or a chain link outside the pool) returns its error.
+  Result<RemoteResult> RemoteLookup(net::Fabric* fabric, int node,
+                                    const RemoteHandle& handle,
+                                    uint64_t key) const;
 
  private:
   // 64-byte bucket: lock | k0 k1 k2 | v0 v1 v2 | next.

@@ -307,11 +307,10 @@ Status PmSkipList::CheckConsistency() const {
   return Status::Ok();
 }
 
-PmSkipList::RemoteHandle PmSkipList::FetchRemoteHandle(net::Fabric* fabric,
-                                                       int node,
-                                                       pm::PmPtr header) {
+Result<PmSkipList::RemoteHandle> PmSkipList::FetchRemoteHandle(
+    net::Fabric* fabric, int node, pm::PmPtr header) {
   Header h{};
-  fabric->Read(node, header, &h, sizeof(Header));
+  DINOMO_RETURN_IF_ERROR(fabric->Read(node, header, &h, sizeof(Header)));
   RemoteHandle handle;
   if (h.magic == kMagic) {
     handle.head = h.head;
@@ -320,11 +319,14 @@ PmSkipList::RemoteHandle PmSkipList::FetchRemoteHandle(net::Fabric* fabric,
   return handle;
 }
 
-bool PmSkipList::ReadRemoteNode(net::Fabric* fabric, int node, pm::PmPtr ptr,
-                                NodeImage* out) {
+Status PmSkipList::ReadRemoteNode(net::Fabric* fabric, int node,
+                                  pm::PmPtr ptr, NodeImage* out) {
   char raw[kNodeBytes] = {};
-  fabric->Read(node, ptr, raw, kNodeBytes);
-  return DecodeNode(raw, out);
+  DINOMO_RETURN_IF_ERROR(fabric->Read(node, ptr, raw, kNodeBytes));
+  if (!DecodeNode(raw, out)) {
+    return Status::Corruption("undecodable skiplist node");
+  }
+  return Status::Ok();
 }
 
 bool PmSkipList::DecodeNode(const void* raw, NodeImage* out) {

@@ -122,14 +122,17 @@ class PmSkipList : public KvIndex {
     bool tombstone() const { return value == pm::kNullPmPtr; }
   };
 
-  /// Reads the list header with one one-sided round trip.
-  static RemoteHandle FetchRemoteHandle(net::Fabric* fabric, int node,
-                                        pm::PmPtr header);
+  /// Reads the list header with one one-sided round trip. Returns the
+  /// read's error if it failed; a header without the list magic yields an
+  /// invalid handle.
+  static Result<RemoteHandle> FetchRemoteHandle(net::Fabric* fabric,
+                                                int node, pm::PmPtr header);
 
-  /// Reads one node with one one-sided round trip. Returns false if the
-  /// image is obviously invalid (fault-injected zero fill, bad height).
-  static bool ReadRemoteNode(net::Fabric* fabric, int node, pm::PmPtr ptr,
-                             NodeImage* out);
+  /// Reads one node with one one-sided round trip. Returns the read's
+  /// error if it failed (dropped, or `ptr` outside the pool), and
+  /// Corruption if the image is invalid (bad height).
+  static Status ReadRemoteNode(net::Fabric* fabric, int node, pm::PmPtr ptr,
+                               NodeImage* out);
 
   /// Decodes a raw kNodeBytes node image fetched by any one-sided read
   /// (e.g. one op of a doorbell batch). Same validity rule as

@@ -42,11 +42,9 @@ std::unique_ptr<cache::KnCache> MakeCache(const KnOptions& options,
 
 constexpr size_t kSegmentHeaderSize = pm::kCacheLineSize;
 constexpr int kReadRetries = 4;
-// Immediate (sleep-free: workers also run under the virtual-time engine)
-// retry budget for one-sided writes and DPM RPCs hit by transient faults.
-// Injected faults are probabilistic, so back-to-back retries suffice; a
-// budget that runs dry surfaces the transient error to the client, whose
-// deadline/backoff loop owns the long game.
+// RetryTransient budget for one-sided writes and DPM RPCs hit by
+// transient faults; a budget that runs dry surfaces the transient error to
+// the client.
 constexpr int kTransientRetries = 4;
 // Re-append attempts per buffered entry during failover recovery (each
 // Busy retry first drains the target owner queue, so this only runs dry
@@ -55,20 +53,6 @@ constexpr int kFailoverReplayRetries = 64;
 // Slots in the per-worker index-metadata cache (rounded up to a power of
 // two; ~32 bytes each).
 constexpr size_t kIcacheEntries = 1 << 14;
-
-// Runs `attempt` until it returns a non-transient status (success
-// included) or kTransientRetries attempts are spent, and returns the last
-// status. A one-sided op reports through its parked fabric fault:
-// `attempt` issues it and returns net::Fabric::TakePendingFault().
-template <typename Fn>
-Status RetryTransient(Fn&& attempt) {
-  Status st;
-  for (int i = 0; i < kTransientRetries; ++i) {
-    st = attempt();
-    if (!IsTransient(st)) break;
-  }
-  return st;
-}
 
 Slice HashKeySlice(const uint64_t& key_hash) {
   return Slice(reinterpret_cast<const char*>(&key_hash), sizeof(key_hash));
@@ -131,22 +115,22 @@ KnWorker::WriteState* KnWorker::ExistingStateFor(
 }
 
 void KnWorker::RefreshIndexHandle(int n) {
-  (void)net::Fabric::TakePendingFault();
   index::Clht::RemoteHandle& handle = index_handles_[static_cast<size_t>(n)];
   uint64_t& known = known_index_epochs_[static_cast<size_t>(n)];
   if (!pool_->alive(n)) {
     handle = index::Clht::RemoteHandle{};
     return;
   }
-  (void)RetryTransient([&] {
-    handle = TargetIndex(n)->FetchRemoteHandle(node(n)->fabric(),
-                                               options_.fabric_node);
-    Status fault = net::Fabric::TakePendingFault();
-    // Dropped read: the fetched handle is zeroes, which reads as invalid
-    // (null bucket array) — never traverse with it.
-    if (!fault.ok()) handle = index::Clht::RemoteHandle{};
-    return fault;
+  Result<index::Clht::RemoteHandle> fetched =
+      Status::Unavailable("not attempted");
+  (void)RetryTransient(kTransientRetries, [&] {
+    fetched = TargetIndex(n)->FetchRemoteHandle(node(n)->fabric(),
+                                                options_.fabric_node);
+    return fetched.status();
   });
+  // A failed fetch leaves the handle invalid (null bucket array), so it
+  // is never traversed.
+  handle = fetched.value_or(index::Clht::RemoteHandle{});
   known = std::max(known, handle.epoch);
 }
 
@@ -260,25 +244,23 @@ Status KnWorker::ReadEntryValue(int n, dpm::ValuePtr vp, uint64_t key_hash,
   std::string buf;
   Status fault = Status::Ok();
   for (int attempt = 0; attempt < kReadRetries; ++attempt) {
-    // Drop any error parked before this attempt so the checks below see
-    // only faults from their own reads.
-    (void)net::Fabric::TakePendingFault();
     dpm::ValuePtr direct = vp;
     if (vp.indirect()) {
       // Replicated key: one extra round trip through the indirect slot
       // (the cost shared keys pay, §3.4).
-      const uint64_t raw =
+      const Result<uint64_t> raw =
           fabric->AtomicRead64(options_.fabric_node, vp.offset());
-      fault = net::Fabric::TakePendingFault();
-      if (!fault.ok()) continue;  // dropped read: raw is not the slot
-      if (raw == 0) return Status::NotFound("empty indirect slot");
-      direct = dpm::ValuePtr(raw);
+      fault = raw.status();
+      if (IsTransient(fault)) continue;  // dropped read: retry
+      if (!fault.ok()) return fault;
+      if (*raw == 0) return Status::NotFound("empty indirect slot");
+      direct = dpm::ValuePtr(*raw);
     }
     buf.resize(direct.entry_size());
-    fabric->Read(options_.fabric_node, direct.offset(), buf.data(),
-                 direct.entry_size());
-    fault = net::Fabric::TakePendingFault();
-    if (!fault.ok()) continue;  // dropped read: buf is zero-filled
+    fault = fabric->Read(options_.fabric_node, direct.offset(), buf.data(),
+                         direct.entry_size());
+    if (IsTransient(fault)) continue;  // dropped read: retry
+    if (!fault.ok()) return fault;
     dpm::LogRecord rec;
     size_t consumed = 0;
     Status st = dpm::DecodeEntry(buf.data(), buf.size(), &rec, &consumed);
@@ -451,21 +433,17 @@ OpResult KnWorker::MissPath(const Slice& key, uint64_t key_hash,
     out.status = Status::Unavailable("index handle unavailable");
     return out;
   }
-  (void)net::Fabric::TakePendingFault();
   for (int attempt = 0; attempt < 2; ++attempt) {
-    auto res = TargetIndex(n)->RemoteLookup(
+    const Result<index::Clht::RemoteResult> res = TargetIndex(n)->RemoteLookup(
         node(n)->fabric(), options_.fabric_node, handle, key_hash);
-    {
-      // A dropped read during the traversal zero-fills a bucket, which
-      // reads as "chain ends here": without this check an existing key
-      // would be reported NotFound to the client.
-      Status fault = net::Fabric::TakePendingFault();
-      if (!fault.ok()) {
-        out.status = fault;  // transient: the client's backoff loop retries
-        return out;
-      }
+    if (!res.ok()) {
+      // A failed bucket read ends the traversal without an answer: the
+      // key may well exist. A transient error is retried by the client's
+      // backoff loop.
+      out.status = res.status();
+      return out;
     }
-    if (!res.found) {
+    if (!res->found) {
       // A stale (pre-resize) table can miss keys merged after the resize;
       // refresh once if the DPM told us about a newer epoch.
       if (handle.epoch < known_epoch && attempt == 0) {
@@ -475,7 +453,7 @@ OpResult KnWorker::MissPath(const Slice& key, uint64_t key_hash,
       out.status = Status::NotFound();
       return out;
     }
-    dpm::ValuePtr vp(res.value);
+    dpm::ValuePtr vp(res->value);
     std::string value;
     bool was_indirect = false;
     st = ReadEntryValue(n, vp, key_hash, &value, &was_indirect);
@@ -632,7 +610,6 @@ OpResult KnWorker::GetComplete(const Slice& key, DirectReadPlan* plan,
     icache_->NoteStale(plan->key_hash);
     stats_.misses--;  // the rerun below re-counts this op's miss
   }
-  (void)net::Fabric::TakePendingFault();
   stats_.reads--;  // the rerun below re-counts this op's read
   OpResult retry = GetImpl(key);
   retry.cost.Add(partial.cost);
@@ -675,21 +652,21 @@ Status KnWorker::EnsureSegmentsFor(WriteState* st,
     // re-requested allocation just hands out a fresh segment), so
     // transient rejections get a few immediate retries before surfacing.
     if (st->segment != pm::kNullPmPtr) {
-      DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
+      DINOMO_RETURN_IF_ERROR(RetryTransient(kTransientRetries, [&] {
         return pool_->SealSegment(pl.primary, placement_gen_,
                                   options_.fabric_node, log_owner(),
                                   st->segment);
       }));
     }
     if (st->mirror_segment != pm::kNullPmPtr && pl.mirror >= 0) {
-      DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
+      DINOMO_RETURN_IF_ERROR(RetryTransient(kTransientRetries, [&] {
         return pool_->SealSegment(pl.mirror, placement_gen_,
                                   options_.fabric_node, log_owner(),
                                   st->mirror_segment);
       }));
     }
     Result<pm::PmPtr> seg = Status::Unavailable("not attempted");
-    DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
+    DINOMO_RETURN_IF_ERROR(RetryTransient(kTransientRetries, [&] {
       seg = pool_->AllocateSegment(pl.primary, placement_gen_,
                                    options_.fabric_node, log_owner());
       return seg.status();
@@ -701,7 +678,7 @@ Status KnWorker::EnsureSegmentsFor(WriteState* st,
   }
   if (pl.mirror >= 0 && st->mirror_segment == pm::kNullPmPtr) {
     Result<pm::PmPtr> seg = Status::Unavailable("not attempted");
-    DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
+    DINOMO_RETURN_IF_ERROR(RetryTransient(kTransientRetries, [&] {
       seg = pool_->AllocateSegment(pl.mirror, placement_gen_,
                                    options_.fabric_node, log_owner());
       return seg.status();
@@ -766,13 +743,11 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
   // batch whose bytes never landed would merge garbage. On a dry retry
   // budget the batch stays buffered (nothing was acked), so a later flush
   // repeats the identical protocol: idempotent.
-  (void)net::Fabric::TakePendingFault();
   if (m < 0) {
     // Unreplicated fast path: ONE one-sided durable RDMA write ships the
     // whole batch (§3.6), exactly as in the single-DPM system.
-    DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
-      pf->Write(options_.fabric_node, st->batch.data(), dst, len);
-      return net::Fabric::TakePendingFault();
+    DINOMO_RETURN_IF_ERROR(RetryTransient(kTransientRetries, [&] {
+      return pf->Write(options_.fabric_node, st->batch.data(), dst, len);
     }));
   } else {
     // Replicate-before-ack (Tsai & Zhang; AsymNVM mirroring): the
@@ -790,22 +765,20 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
       // TEST ONLY — deliberately reordered append: the full batch,
       // commit marker included, lands on the primary before the mirror
       // has a copy. tests/replication_test.cc proves this is detected.
-      DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
-        pf->Write(options_.fabric_node, st->batch.data(), dst, len);
-        return net::Fabric::TakePendingFault();
+      DINOMO_RETURN_IF_ERROR(RetryTransient(kTransientRetries, [&] {
+        return pf->Write(options_.fabric_node, st->batch.data(), dst, len);
       }));
     } else {
       // 1. Primary payload with the final commit-marker byte withheld.
-      DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
-        pf->Write(options_.fabric_node, st->batch.data(), dst, len - 1);
-        return net::Fabric::TakePendingFault();
+      DINOMO_RETURN_IF_ERROR(RetryTransient(kTransientRetries, [&] {
+        return pf->Write(options_.fabric_node, st->batch.data(), dst,
+                         len - 1);
       }));
     }
     // 2. Full durable copy to the mirror, then the mirror's SubmitBatch —
     //    its success is the mirror ack the commit marker waits for.
-    DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
-      mf->Write(options_.fabric_node, st->batch.data(), mdst, len);
-      return net::Fabric::TakePendingFault();
+    DINOMO_RETURN_IF_ERROR(RetryTransient(kTransientRetries, [&] {
+      return mf->Write(options_.fabric_node, st->batch.data(), mdst, len);
     }));
     auto mirror_submit =
         pool_->SubmitBatch(m, placement_gen_, options_.fabric_node,
@@ -823,10 +796,10 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
       // 3. Publish the commit marker on the primary. WritePublish makes
       //    it a publication point under the PmChecker: everything the
       //    marker makes reachable must already be durable.
-      DINOMO_RETURN_IF_ERROR(RetryTransient([&] {
-        pf->WritePublish(options_.fabric_node,
-                         st->batch.data() + (len - 1), dst + (len - 1), 1);
-        return net::Fabric::TakePendingFault();
+      DINOMO_RETURN_IF_ERROR(RetryTransient(kTransientRetries, [&] {
+        return pf->WritePublish(options_.fabric_node,
+                                st->batch.data() + (len - 1),
+                                dst + (len - 1), 1);
       }));
     }
   }
@@ -920,10 +893,8 @@ OpResult KnWorker::SharedWrite(const Slice& key, const Slice& value,
   // As in FlushState: the entry must actually land before it is
   // registered and published through the slot CAS below.
   net::Fabric* fabric = node(pl.primary)->fabric();
-  (void)net::Fabric::TakePendingFault();
-  st = RetryTransient([&] {
-    fabric->Write(options_.fabric_node, buf.data(), entry_ptr, need);
-    return net::Fabric::TakePendingFault();
+  st = RetryTransient(kTransientRetries, [&] {
+    return fabric->Write(options_.fabric_node, buf.data(), entry_ptr, need);
   });
   if (!st.ok()) {
     out.status = st;
@@ -946,15 +917,14 @@ OpResult KnWorker::SharedWrite(const Slice& key, const Slice& value,
   const dpm::ValuePtr packed =
       dpm::ValuePtr::Pack(entry_ptr, static_cast<uint32_t>(need));
   for (int attempt = 0; attempt < 16; ++attempt) {
-    const uint64_t cur = fabric->AtomicRead64(options_.fabric_node, slot);
-    if (net::Fabric::HasPendingFault()) {
-      // Dropped slot read: `cur` is garbage, CASing on it would only
-      // waste the attempt (and a dropped CAS already reports failure).
-      (void)net::Fabric::TakePendingFault();
-      continue;
-    }
-    if (fabric->CompareAndSwap64(options_.fabric_node, slot, cur,
-                                 packed.raw())) {
+    // A failed slot read leaves nothing to CAS against, and a dropped
+    // CAS is retried like a lost race.
+    const Result<uint64_t> cur =
+        fabric->AtomicRead64(options_.fabric_node, slot);
+    if (!cur.ok()) continue;
+    if (fabric->CompareAndSwap64(options_.fabric_node, slot, *cur,
+                                 packed.raw())
+            .value_or(false)) {
       cache_->AdmitShortcutOnly(
           key_hash, dpm::ValuePtr::Pack(slot, 8, /*indirect=*/true));
       // Any direct pointer learned before the key became shared is now
@@ -964,13 +934,13 @@ OpResult KnWorker::SharedWrite(const Slice& key, const Slice& value,
       out.status = Status::Ok();
       return out;
     }
-    (void)net::Fabric::TakePendingFault();  // dropped CAS reads as failure
   }
   out.status = Status::Busy("indirect slot CAS kept failing");
   return out;
 }
 
-OpResult KnWorker::PutImpl(const Slice& key, const Slice& value) {
+OpResult KnWorker::WriteImpl(dpm::LogOp op, const Slice& key,
+                             const Slice& value) {
   OpResult out;
   net::ScopedOpCost scope(&out.cost);
   CheckPlacement();
@@ -983,7 +953,8 @@ OpResult KnWorker::PutImpl(const Slice& key, const Slice& value) {
     out.status = Status::WrongOwner();
     return out;
   }
-  if (routing_ != nullptr && routing_->ReplicationFactor(key_hash) > 1) {
+  if (op == dpm::LogOp::kPut && routing_ != nullptr &&
+      routing_->ReplicationFactor(key_hash) > 1) {
     OpResult shared = SharedWrite(key, value, key_hash);
     stats_.busy_us += shared.cpu_us;
     shared.cost = out.cost;
@@ -993,61 +964,26 @@ OpResult KnWorker::PutImpl(const Slice& key, const Slice& value) {
   const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
   WriteState* ws = StateFor(pl);
   dpm::ValuePtr vp;
-  Status st = AppendWrite(ws, pl, dpm::LogOp::kPut, key, value, key_hash,
-                          &vp);
+  Status st = AppendWrite(ws, pl, op, key, value, key_hash, &vp);
   if (!st.ok()) {
     out.status = st;
     return out;
   }
-  cache_->AdmitOnWrite(key_hash, value, vp);
-  // The appended entry's home is fixed at append time (segment offsets
-  // are reserved before the flush ships the bytes), so the icache can
-  // learn it now; pre-flush reads are satisfied by the batch scan before
-  // the icache is ever consulted.
-  if (icache_ != nullptr) {
-    icache_->Admit(key_hash, placement_gen_, pl.primary, vp.raw());
-  }
-  out.cpu_us = options_.cpu_write_us;
-
-  if (ws->batch.entries() >= options_.batch_max_ops ||
-      ws->batch.bytes() >= options_.batch_max_bytes) {
-    st = FlushState(PlacementKey{pl.primary, pl.mirror}, ws, &out.cpu_us);
-    if (!st.ok()) {
-      out.status = st;
-      return out;
+  if (op == dpm::LogOp::kPut) {
+    cache_->AdmitOnWrite(key_hash, value, vp);
+    // The appended entry's home is fixed at append time (segment offsets
+    // are reserved before the flush ships the bytes), so the icache can
+    // learn it now; pre-flush reads are satisfied by the batch scan before
+    // the icache is ever consulted.
+    if (icache_ != nullptr) {
+      icache_->Admit(key_hash, placement_gen_, pl.primary, vp.raw());
     }
+  } else {
+    cache_->Invalidate(key_hash);
+    if (icache_ != nullptr) icache_->Invalidate(key_hash);
   }
-  out.status = Status::Ok();
-  stats_.busy_us += out.cpu_us;
-  return out;
-}
-
-OpResult KnWorker::DeleteImpl(const Slice& key) {
-  OpResult out;
-  net::ScopedOpCost scope(&out.cost);
-  CheckPlacement();
-  const uint64_t key_hash = KeyHash(key);
-  TrackAccess(key_hash);
-  stats_.writes++;
-
-  if (routing_ != nullptr && !routing_->IsOwner(key_hash, options_.kn_id)) {
-    stats_.wrong_owner++;
-    out.status = Status::WrongOwner();
-    return out;
-  }
-
-  const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
-  WriteState* ws = StateFor(pl);
-  dpm::ValuePtr vp;
-  Status st = AppendWrite(ws, pl, dpm::LogOp::kDelete, key, Slice(),
-                          key_hash, &vp);
-  if (!st.ok()) {
-    out.status = st;
-    return out;
-  }
-  cache_->Invalidate(key_hash);
-  if (icache_ != nullptr) icache_->Invalidate(key_hash);
   out.cpu_us = options_.cpu_write_us;
+
   if (ws->batch.entries() >= options_.batch_max_ops ||
       ws->batch.bytes() >= options_.batch_max_bytes) {
     st = FlushState(PlacementKey{pl.primary, pl.mirror}, ws, &out.cpu_us);
@@ -1080,18 +1016,12 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
       return Status::Ok();
     }
     PmSkipList::NodeImage fresh;
-    Status fault = Status::Ok();
-    for (int attempt = 0; attempt < kReadRetries; ++attempt) {
-      (void)net::Fabric::TakePendingFault();
-      const bool ok = PmSkipList::ReadRemoteNode(
-          fabric, options_.fabric_node, p, &fresh);
-      fault = net::Fabric::TakePendingFault();
-      if (ok && fault.ok()) {
-        *img = &images.emplace(p, fresh).first->second;
-        return Status::Ok();
-      }
-    }
-    return fault.ok() ? Status::IoError("unreadable skiplist node") : fault;
+    DINOMO_RETURN_IF_ERROR(RetryTransient(kReadRetries, [&] {
+      return PmSkipList::ReadRemoteNode(fabric, options_.fabric_node, p,
+                                        &fresh);
+    }));
+    *img = &images.emplace(p, fresh).first->second;
+    return Status::Ok();
   };
 
   PmSkipList::NodeImage* img = nullptr;
@@ -1107,11 +1037,9 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
       batch.AddRead(run[i], &raw[i * PmSkipList::kNodeBytes],
                     PmSkipList::kNodeBytes);
     }
-    (void)net::Fabric::TakePendingFault();
-    batch.Execute();
-    // A dropped read zero-fills its image, which fails to decode and
+    // A failed read zero-fills its image, which fails to decode and
     // stays out of the memo: the walk re-reads that node on its own.
-    (void)net::Fabric::TakePendingFault();
+    (void)batch.Execute();
     for (size_t i = 0; i < run.size(); ++i) {
       PmSkipList::NodeImage decoded;
       if (PmSkipList::DecodeNode(&raw[i * PmSkipList::kNodeBytes],
@@ -1126,10 +1054,8 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
     // predecessor starts at most kSearchLayerHeight levels above the
     // leaves, so the descent is O(kSearchLayerHeight) expected hops
     // instead of O(log n).
-    if (!slc.EnsureFresh(fabric, options_.fabric_node, header,
-                         placement_gen_)) {
-      return Status::Unavailable("ordered-index search layer unavailable");
-    }
+    DINOMO_RETURN_IF_ERROR(
+        slc.EnsureFresh(fabric, options_.fabric_node, header, placement_gen_));
     pm::PmPtr cur = slc.Seek(start_okey);
     DINOMO_RETURN_IF_ERROR(read_node(cur, &img));
     for (int level = PmSkipList::kSearchLayerHeight - 1; level >= 0;
@@ -1180,11 +1106,11 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
   if (pend.empty()) return Status::Ok();
 
   // ONE fused value-read round for the whole leaf run (the doorbell
-  // OpBatch path). A dropped read zero-fills its entry, so a row that
-  // fails to decode while a fault is parked is re-read (all such rows in
-  // one round, bounded retries); the scan fails with the fault rather
-  // than silently coming back short.
+  // OpBatch path). Exactly the rows whose reads were dropped are re-read
+  // (all in one round, bounded retries); the scan fails with the fault
+  // rather than silently coming back short.
   std::vector<std::string> bufs(pend.size());
+  std::vector<Status> fates(pend.size());
   std::vector<size_t> todo(pend.size());
   for (size_t i = 0; i < pend.size(); ++i) {
     bufs[i].resize(pend[i].vp.entry_size());
@@ -1193,24 +1119,24 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
   for (int attempt = 0; !todo.empty(); ++attempt) {
     net::Fabric::OpBatch batch(fabric, options_.fabric_node);
     for (size_t i : todo) {
-      batch.AddRead(pend[i].vp.offset(), bufs[i].data(), bufs[i].size());
+      batch.AddRead(pend[i].vp.offset(), bufs[i].data(), bufs[i].size(),
+                    &fates[i]);
     }
-    (void)net::Fabric::TakePendingFault();
-    batch.Execute();
-    const Status fault = net::Fabric::TakePendingFault();
+    const Status fault = batch.Execute();
     std::vector<size_t> dropped;
     for (size_t i : todo) {
+      if (IsTransient(fates[i])) {
+        dropped.push_back(i);
+        continue;
+      }
+      if (!fates[i].ok()) return fates[i];
       dpm::LogRecord rec;
       size_t consumed = 0;
       Status st =
           dpm::DecodeEntry(bufs[i].data(), bufs[i].size(), &rec, &consumed);
-      if (!st.ok() && !fault.ok()) {
-        dropped.push_back(i);
-        continue;
-      }
-      // Without a parked fault, an undecodable entry was GC'd between the
-      // index walk and the value read, and a fingerprint mismatch means
-      // its segment was reused: the row is genuinely gone.
+      // A read that landed but does not decode was GC'd between the index
+      // walk and the value read, and a fingerprint mismatch means its
+      // segment was reused: the row is genuinely gone.
       if (!st.ok() || rec.key_hash != pend[i].key_hash ||
           rec.op != dpm::LogOp::kPut) {
         continue;

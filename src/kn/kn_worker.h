@@ -210,9 +210,11 @@ class KnWorker {
 
   OpResult Get(const Slice& key) { return Finish(GetImpl(key)); }
   OpResult Put(const Slice& key, const Slice& value) {
-    return Finish(PutImpl(key, value));
+    return Finish(WriteImpl(dpm::LogOp::kPut, key, value));
   }
-  OpResult Delete(const Slice& key) { return Finish(DeleteImpl(key)); }
+  OpResult Delete(const Slice& key) {
+    return Finish(WriteImpl(dpm::LogOp::kDelete, key, Slice()));
+  }
 
   /// Range scan (YCSB-E): up to `scan_len` rows with key >= start_key in
   /// ascending key order, resolved against the ordered DPM index. A warm
@@ -376,8 +378,9 @@ class KnWorker {
                        uint64_t key_hash);
 
   OpResult GetImpl(const Slice& key, DirectReadPlan* plan = nullptr);
-  OpResult PutImpl(const Slice& key, const Slice& value);
-  OpResult DeleteImpl(const Slice& key);
+  /// Put or Delete: one log append under the key's placement (a Put of
+  /// a replicated key goes through SharedWrite instead).
+  OpResult WriteImpl(dpm::LogOp op, const Slice& key, const Slice& value);
   OpResult ScanImpl(const Slice& start_key, uint32_t scan_len,
                     std::vector<ScanRow>* rows) EXCLUDES(batches_mu_);
   /// One DPM node's contribution to a scan: position via the learned

@@ -330,13 +330,11 @@ void KvsNode::ExecuteGetRun(KnWorker* worker, std::vector<Request>& run) {
         batch.AddRead(p.plan.vp.offset(), p.plan.buf.data(),
                       p.plan.buf.size());
       }
-      batch.Execute();
+      // A failed fused read zero-fills its buffer, and the affected
+      // request recovers through GetComplete's decode fallback.
+      (void)batch.Execute();
     }
     leader.partial.cost.Add(fused);
-    // A dropped fused read zero-fills its buffer and each affected
-    // request recovers through GetComplete's decode fallback, so the
-    // parked fault (one slot, first wins) must not leak into later ops.
-    (void)net::Fabric::TakePendingFault();
     for (size_t i : idxs) {
       PendingRead& p = pending[i];
       obs::ScopedTraceContext trace_scope(p.req->trace);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/backoff.h"
+
 namespace dinomo {
 namespace kn {
 
@@ -41,48 +43,42 @@ void SearchLayerCache::ClearLinks() {
   head_next_ = pm::kNullPmPtr;
 }
 
-bool SearchLayerCache::EnsureFresh(net::Fabric* fabric, int fabric_node,
-                                   pm::PmPtr header, uint64_t generation) {
-  // Version poll: one 8-byte atomic read. A dropped read returns garbage
-  // with a parked fault; retry a few times before judging freshness.
-  uint64_t cur = 0;
-  bool polled = false;
-  for (int attempt = 0; attempt < kFetchRetries; ++attempt) {
-    (void)net::Fabric::TakePendingFault();
+Status SearchLayerCache::EnsureFresh(net::Fabric* fabric, int fabric_node,
+                                     pm::PmPtr header, uint64_t generation) {
+  // Version poll: one 8-byte atomic read, retried a few times when the
+  // fabric drops it.
+  Result<uint64_t> cur = Status::Unavailable("not attempted");
+  const Status polled = RetryTransient(kFetchRetries, [&] {
     cur = fabric->AtomicRead64(
         fabric_node, header + index::PmSkipList::kVersionOffset);
-    if (!net::Fabric::HasPendingFault()) {
-      polled = true;
-      break;
-    }
-    (void)net::Fabric::TakePendingFault();
-  }
+    return cur.status();
+  });
   const bool matches =
       valid_ && generation_ == generation && header_ == header;
-  if (!polled) {
-    // The fabric ate every poll. A matching cached layer is still safe to
-    // use (nodes never move); with nothing cached the caller must fail.
-    return matches;
+  if (!polled.ok()) {
+    // Every poll failed. A matching cached layer is still safe to use
+    // (nodes never move); with nothing cached the caller must fail.
+    return matches ? Status::Ok() : polled;
   }
   if (matches) {
-    const uint64_t drift = cur >= version_ ? cur - version_ : version_ - cur;
-    if (drift <= kVersionSlack) return true;
+    const uint64_t drift =
+        *cur >= version_ ? *cur - version_ : version_ - *cur;
+    if (drift <= kVersionSlack) return Status::Ok();
   }
   return Rebuild(fabric, fabric_node, header, generation);
 }
 
-bool SearchLayerCache::Rebuild(net::Fabric* fabric, int fabric_node,
-                               pm::PmPtr header, uint64_t generation) {
-  index::PmSkipList::RemoteHandle handle;
-  for (int attempt = 0; attempt < kFetchRetries; ++attempt) {
-    (void)net::Fabric::TakePendingFault();
-    handle = index::PmSkipList::FetchRemoteHandle(fabric, fabric_node,
-                                                  header);
-    if (!net::Fabric::HasPendingFault() && handle.valid()) break;
-    (void)net::Fabric::TakePendingFault();
-    handle = index::PmSkipList::RemoteHandle{};
-  }
-  if (!handle.valid()) return false;
+Status SearchLayerCache::Rebuild(net::Fabric* fabric, int fabric_node,
+                                 pm::PmPtr header, uint64_t generation) {
+  Result<index::PmSkipList::RemoteHandle> fetched =
+      Status::Unavailable("not attempted");
+  DINOMO_RETURN_IF_ERROR(RetryTransient(kFetchRetries, [&] {
+    fetched = index::PmSkipList::FetchRemoteHandle(fabric, fabric_node,
+                                                   header);
+    return fetched.status();
+  }));
+  const index::PmSkipList::RemoteHandle& handle = *fetched;
+  if (!handle.valid()) return Status::Corruption("no skiplist at header");
 
   // Walk the top retained level (every node there is, by definition, part
   // of the search layer) collecting (okey, ptr). One 192-byte one-sided
@@ -93,17 +89,9 @@ bool SearchLayerCache::Rebuild(net::Fabric* fabric, int fabric_node,
   pm::PmPtr p = handle.head;
   bool first = true;
   while (p != pm::kNullPmPtr) {
-    bool got = false;
-    for (int attempt = 0; attempt < kFetchRetries; ++attempt) {
-      (void)net::Fabric::TakePendingFault();
-      if (index::PmSkipList::ReadRemoteNode(fabric, fabric_node, p, &img) &&
-          !net::Fabric::HasPendingFault()) {
-        got = true;
-        break;
-      }
-      (void)net::Fabric::TakePendingFault();
-    }
-    if (!got) return false;
+    DINOMO_RETURN_IF_ERROR(RetryTransient(kFetchRetries, [&] {
+      return index::PmSkipList::ReadRemoteNode(fabric, fabric_node, p, &img);
+    }));
     if (!first) fresh.push_back(Entry{img.okey, p});
     first = false;
     p = static_cast<int>(img.height) > kLevel ? img.next[kLevel]
@@ -120,7 +108,7 @@ bool SearchLayerCache::Rebuild(net::Fabric* fabric, int fabric_node,
   header_ = header;
   head_ = handle.head;
   rebuilds_++;
-  return true;
+  return Status::Ok();
 }
 
 pm::PmPtr SearchLayerCache::Seek(uint64_t start_okey) const {

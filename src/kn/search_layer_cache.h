@@ -66,10 +66,11 @@ class SearchLayerCache {
   /// Makes the cached layer usable against `header` under `generation`:
   /// fast-path is one AtomicRead64 (the version poll); a drifted or
   /// mismatched layer is rebuilt by walking the top retained level via
-  /// one-sided node reads. Returns false when the fabric kept dropping
-  /// the reads and no safe layer is available.
-  bool EnsureFresh(net::Fabric* fabric, int fabric_node, pm::PmPtr header,
-                   uint64_t generation);
+  /// one-sided node reads. Returns the failed read's error when no safe
+  /// layer is available (the fabric kept dropping the reads, or a read
+  /// found corruption).
+  Status EnsureFresh(net::Fabric* fabric, int fabric_node, pm::PmPtr header,
+                     uint64_t generation);
 
   /// Best cached start for a scan: the cached node with the greatest
   /// okey < start_okey (a strict predecessor: the leaf walk begins after
@@ -105,8 +106,8 @@ class SearchLayerCache {
   void Clear();
 
  private:
-  bool Rebuild(net::Fabric* fabric, int fabric_node, pm::PmPtr header,
-               uint64_t generation);
+  Status Rebuild(net::Fabric* fabric, int fabric_node, pm::PmPtr header,
+                 uint64_t generation);
   void ClearLinks();
   /// Index of the chunk whose okey range holds `okey`: the last chunk
   /// whose first okey is <= okey, or 0 when none is.

@@ -28,18 +28,9 @@ void TraceFabricOp(const LinkProfile& profile, obs::SpanKind kind,
                       extra_us,
                   rts, bytes);
 }
-// Error parked by a dropped one-sided op, collected by the initiating
-// worker via TakePendingFault(). A flag avoids touching the Status (and
-// its string) on the fault-free hot path.
-thread_local bool t_fault_pending = false;
-thread_local Status t_pending_fault;
 
-void ParkFault(Status s) {
-  // First fault wins until collected; later drops in the same window
-  // carry the same meaning.
-  if (t_fault_pending) return;
-  t_pending_fault = std::move(s);
-  t_fault_pending = true;
+uint32_t WireOps(const FaultDecision& d) {
+  return d.action == FaultDecision::Action::kDuplicate ? 2 : 1;
 }
 }  // namespace
 
@@ -75,16 +66,6 @@ Fabric::~Fabric() {
 
 void Fabric::SetThreadOpCost(OpCost* cost) { t_op_cost = cost; }
 OpCost* Fabric::ThreadOpCost() { return t_op_cost; }
-
-Status Fabric::TakePendingFault() {
-  if (!t_fault_pending) return Status::Ok();
-  t_fault_pending = false;
-  Status s = std::move(t_pending_fault);
-  t_pending_fault = Status::Ok();
-  return s;
-}
-
-bool Fabric::HasPendingFault() { return t_fault_pending; }
 
 FaultDecision Fabric::ConsultInjector(int node, bool allow_drop) {
   FaultInjector* injector = injector_.load(std::memory_order_acquire);
@@ -127,92 +108,95 @@ void Fabric::Charge(int node, uint32_t rts, uint64_t bytes) {
   }
 }
 
-void Fabric::Read(int node, pm::PmPtr src, void* dst, size_t len) {
-  DINOMO_CHECK(pool_->Contains(src, len));
-  const FaultDecision d = ConsultInjector(node, /*allow_drop=*/true);
+Status Fabric::LandRead(const FaultDecision& d, pm::PmPtr src, void* dst,
+                        size_t len) {
+  Status s;
   if (d.action == FaultDecision::Action::kDrop) {
-    // The round trip happened but the payload was lost: the initiator
-    // gets a zeroed buffer (never remote garbage — zero decodes as
-    // invalid everywhere) plus a parked error it collects at its next
-    // boundary.
-    std::memset(dst, 0, len);
-    ParkFault(Status::Unavailable("injected drop: one-sided read"));
+    // The round trip happened but the payload was lost.
+    s = Status::Unavailable("injected drop: one-sided read");
+  } else if (!pool_->Contains(src, len)) {
+    // The remote NIC rejects an address outside the registered region.
+    s = Status::Corruption("one-sided read outside the pool");
   } else {
     // Const overload: a read must not demote the line for the PM checker.
     const pm::PmPool& ro = *pool_;
     std::memcpy(dst, ro.Translate(src), len);
+    return s;
   }
-  const uint32_t wire_ops =
-      d.action == FaultDecision::Action::kDuplicate ? 2 : 1;
+  std::memset(dst, 0, len);
+  return s;
+}
+
+Status Fabric::LandWrite(const FaultDecision& d, const void* src,
+                         pm::PmPtr dst, size_t len, const pm::SourceLoc& loc,
+                         bool publish) {
+  // Lost on the wire: no remote bytes change, and the initiator must not
+  // publish anything that assumes this write landed.
+  if (d.action == FaultDecision::Action::kDrop) {
+    return Status::Unavailable("injected drop: one-sided write");
+  }
+  pool_->StoreBytes(dst, src, len, loc);
+  // Modeled as a *durable* RDMA write (the IETF durable-write commit the
+  // paper anticipates, §4 "DPM persistence"): the payload is flushed as
+  // part of the single round trip, so committed log batches survive the
+  // crash simulator. A publication point (WritePublish) makes recovery
+  // follow what this store makes reachable, so the checker verifies
+  // everything it depends on is already durable.
+  if (publish) {
+    pool_->PersistPublish(dst, len, loc);
+  } else {
+    pool_->Persist(dst, len, loc);
+  }
+  return Status::Ok();
+}
+
+Status Fabric::Read(int node, pm::PmPtr src, void* dst, size_t len) {
+  const FaultDecision d = ConsultInjector(node, /*allow_drop=*/true);
+  Status s = LandRead(d, src, dst, len);
+  const uint32_t wire_ops = WireOps(d);
   Charge(node, wire_ops, static_cast<uint64_t>(len) * wire_ops);
   counters_[node].one_sided_reads.Inc(wire_ops);
   TraceFabricOp(profile_, obs::SpanKind::kOneSidedRead, nullptr, wire_ops,
                 static_cast<uint64_t>(len) * wire_ops);
+  return s;
 }
 
-void Fabric::Write(int node, const void* src, pm::PmPtr dst, size_t len,
-                   const pm::SourceLoc& loc) {
+Status Fabric::WriteImpl(int node, const void* src, pm::PmPtr dst,
+                         size_t len, const pm::SourceLoc& loc, bool publish) {
   DINOMO_CHECK(pool_->Contains(dst, len));
   const FaultDecision d = ConsultInjector(node, /*allow_drop=*/true);
-  if (d.action == FaultDecision::Action::kDrop) {
-    // Lost on the wire: no remote bytes change. The initiator must not
-    // publish anything that assumes this write landed, so it collects
-    // the parked error before its next commit point and retries.
-    ParkFault(Status::Unavailable("injected drop: one-sided write"));
-  } else {
-    pool_->StoreBytes(dst, src, len, loc);
-    // Modeled as a *durable* RDMA write (the IETF durable-write commit the
-    // paper anticipates, §4 "DPM persistence"): the payload is flushed as
-    // part of the single round trip, so committed log batches survive the
-    // crash simulator.
-    pool_->Persist(dst, len, loc);
-  }
-  const uint32_t wire_ops =
-      d.action == FaultDecision::Action::kDuplicate ? 2 : 1;
+  Status s = LandWrite(d, src, dst, len, loc, publish);
+  const uint32_t wire_ops = WireOps(d);
   Charge(node, wire_ops, static_cast<uint64_t>(len) * wire_ops);
   counters_[node].one_sided_writes.Inc(wire_ops);
   TraceFabricOp(profile_, obs::SpanKind::kOneSidedWrite, nullptr, wire_ops,
                 static_cast<uint64_t>(len) * wire_ops);
+  return s;
 }
 
-void Fabric::WritePublish(int node, const void* src, pm::PmPtr dst,
-                          size_t len, const pm::SourceLoc& loc) {
-  DINOMO_CHECK(pool_->Contains(dst, len));
-  const FaultDecision d = ConsultInjector(node, /*allow_drop=*/true);
-  if (d.action == FaultDecision::Action::kDrop) {
-    ParkFault(Status::Unavailable("injected drop: one-sided write"));
-  } else {
-    pool_->StoreBytes(dst, src, len, loc);
-    // Same durable RDMA write as Write(), but flagged as a publication
-    // point: recovery follows what this store makes reachable, so the
-    // checker verifies everything it depends on is already durable.
-    pool_->PersistPublish(dst, len, loc);
-  }
-  const uint32_t wire_ops =
-      d.action == FaultDecision::Action::kDuplicate ? 2 : 1;
-  Charge(node, wire_ops, static_cast<uint64_t>(len) * wire_ops);
-  counters_[node].one_sided_writes.Inc(wire_ops);
-  TraceFabricOp(profile_, obs::SpanKind::kOneSidedWrite, nullptr, wire_ops,
-                static_cast<uint64_t>(len) * wire_ops);
+Status Fabric::Write(int node, const void* src, pm::PmPtr dst, size_t len,
+                     const pm::SourceLoc& loc) {
+  return WriteImpl(node, src, dst, len, loc, /*publish=*/false);
 }
 
-bool Fabric::CompareAndSwap64(int node, pm::PmPtr addr, uint64_t expected,
-                              uint64_t desired, const pm::SourceLoc& loc) {
+Status Fabric::WritePublish(int node, const void* src, pm::PmPtr dst,
+                            size_t len, const pm::SourceLoc& loc) {
+  return WriteImpl(node, src, dst, len, loc, /*publish=*/true);
+}
+
+Result<bool> Fabric::CompareAndSwap64(int node, pm::PmPtr addr,
+                                      uint64_t expected, uint64_t desired,
+                                      const pm::SourceLoc& loc) {
   const FaultDecision d = ConsultInjector(node, /*allow_drop=*/true);
   // A duplicated CAS replays with the same expected value; the second
   // execution fails benignly, so one real execution models it.
-  const uint32_t wire_ops =
-      d.action == FaultDecision::Action::kDuplicate ? 2 : 1;
+  const uint32_t wire_ops = WireOps(d);
   Charge(node, wire_ops, sizeof(uint64_t) * wire_ops);
   counters_[node].cas_ops.Inc(wire_ops);
   TraceFabricOp(profile_, obs::SpanKind::kCas, nullptr, wire_ops,
                 sizeof(uint64_t) * wire_ops);
   if (d.action == FaultDecision::Action::kDrop) {
-    // Lost CAS: reported as a compare failure, which every caller
-    // already treats as "re-read and retry"; the parked error tells the
-    // boundary check the failure was a fault, not a racing writer.
-    ParkFault(Status::Unavailable("injected drop: one-sided CAS"));
-    return false;
+    return Status::Unavailable("injected drop: one-sided CAS");
   }
   const bool swapped = pool_->CompareExchange64(addr, expected, desired, loc);
   // A successful remote CAS installs a pointer/marker other nodes (and
@@ -221,18 +205,18 @@ bool Fabric::CompareAndSwap64(int node, pm::PmPtr addr, uint64_t expected,
   return swapped;
 }
 
-uint64_t Fabric::AtomicRead64(int node, pm::PmPtr addr) {
-  DINOMO_CHECK(pool_->Contains(addr, sizeof(uint64_t)));
-  DINOMO_CHECK(addr % sizeof(uint64_t) == 0);
+Result<uint64_t> Fabric::AtomicRead64(int node, pm::PmPtr addr) {
   const FaultDecision d = ConsultInjector(node, /*allow_drop=*/true);
-  const uint32_t wire_ops =
-      d.action == FaultDecision::Action::kDuplicate ? 2 : 1;
+  const uint32_t wire_ops = WireOps(d);
   Charge(node, wire_ops, sizeof(uint64_t) * wire_ops);
   TraceFabricOp(profile_, obs::SpanKind::kOneSidedRead, "atomic_read",
                 wire_ops, sizeof(uint64_t) * wire_ops);
   if (d.action == FaultDecision::Action::kDrop) {
-    ParkFault(Status::Unavailable("injected drop: atomic read"));
-    return 0;
+    return Status::Unavailable("injected drop: atomic read");
+  }
+  if (!pool_->Contains(addr, sizeof(uint64_t)) ||
+      addr % sizeof(uint64_t) != 0) {
+    return Status::Corruption("atomic read outside the pool or unaligned");
   }
   const pm::PmPool& ro = *pool_;
   auto* target = reinterpret_cast<uint64_t*>(
@@ -240,21 +224,20 @@ uint64_t Fabric::AtomicRead64(int node, pm::PmPtr addr) {
   return std::atomic_ref<uint64_t>(*target).load(std::memory_order_acquire);
 }
 
-void Fabric::AtomicWrite64(int node, pm::PmPtr addr, uint64_t value,
-                           const pm::SourceLoc& loc) {
+Status Fabric::AtomicWrite64(int node, pm::PmPtr addr, uint64_t value,
+                             const pm::SourceLoc& loc) {
   const FaultDecision d = ConsultInjector(node, /*allow_drop=*/true);
-  const uint32_t wire_ops =
-      d.action == FaultDecision::Action::kDuplicate ? 2 : 1;
+  const uint32_t wire_ops = WireOps(d);
   Charge(node, wire_ops, sizeof(uint64_t) * wire_ops);
   counters_[node].one_sided_writes.Inc(wire_ops);
   TraceFabricOp(profile_, obs::SpanKind::kOneSidedWrite, "atomic_write",
                 wire_ops, sizeof(uint64_t) * wire_ops);
   if (d.action == FaultDecision::Action::kDrop) {
-    ParkFault(Status::Unavailable("injected drop: atomic write"));
-    return;
+    return Status::Unavailable("injected drop: atomic write");
   }
   pool_->StoreRelease64(addr, value, loc);
   pool_->Persist(addr, sizeof(uint64_t), loc);
+  return Status::Ok();
 }
 
 void Fabric::ChargeRpc(int node, uint64_t req_bytes, uint64_t resp_bytes,
@@ -287,68 +270,44 @@ void Fabric::ChargeRpc(int node, uint64_t req_bytes, uint64_t resp_bytes,
                 profile_.rpc_extra_us + dpm_cpu_us);
 }
 
-void Fabric::OpBatch::AddRead(pm::PmPtr src, void* dst, size_t len) {
-  Pending p;
-  p.is_read = true;
-  p.remote = src;
-  p.dst = dst;
-  p.src = nullptr;
-  p.len = len;
-  ops_.push_back(p);
+void Fabric::OpBatch::AddRead(pm::PmPtr src, void* dst, size_t len,
+                              Status* fate) {
+  ops_.push_back(Pending{true, src, dst, nullptr, len, fate, {}});
 }
 
 void Fabric::OpBatch::AddWrite(const void* src, pm::PmPtr dst, size_t len,
-                               const pm::SourceLoc& loc) {
-  Pending p;
-  p.is_read = false;
-  p.remote = dst;
-  p.dst = nullptr;
-  p.src = src;
-  p.len = len;
-  p.loc = loc;
-  ops_.push_back(p);
+                               Status* fate, const pm::SourceLoc& loc) {
+  ops_.push_back(Pending{false, dst, nullptr, src, len, fate, loc});
 }
 
-void Fabric::OpBatch::Execute() {
-  if (ops_.empty()) return;
+Status Fabric::OpBatch::Execute() {
   Fabric* f = fabric_;
+  Status first_failure;
+  if (ops_.empty()) return first_failure;
+  auto complete = [&](const Pending& p, Status s) {
+    if (!s.ok() && first_failure.ok()) first_failure = s;
+    if (p.fate != nullptr) *p.fate = std::move(s);
+  };
   if (ops_.size() == 1) {
     // No fusion to be had: fall back to the plain op so singleton batches
     // cost (and trace) exactly what an unbatched op does.
     const Pending& p = ops_.front();
-    if (p.is_read) {
-      f->Read(node_, p.remote, p.dst, p.len);
-    } else {
-      f->Write(node_, p.src, p.remote, p.len, p.loc);
-    }
+    complete(p, p.is_read ? f->Read(node_, p.remote, p.dst, p.len)
+                          : f->Write(node_, p.src, p.remote, p.len, p.loc));
     ops_.clear();
-    return;
+    return first_failure;
   }
   uint64_t total_bytes = 0;
   bool first = true;
   for (const Pending& p : ops_) {
-    DINOMO_CHECK(f->pool_->Contains(p.remote, p.len));
+    if (!p.is_read) DINOMO_CHECK(f->pool_->Contains(p.remote, p.len));
     // Each fused op keeps its own fault fate: the doorbell posts N work
     // requests, and the injector decides per request.
     const FaultDecision d = f->ConsultInjector(node_, /*allow_drop=*/true);
-    if (p.is_read) {
-      if (d.action == FaultDecision::Action::kDrop) {
-        std::memset(p.dst, 0, p.len);
-        ParkFault(Status::Unavailable("injected drop: doorbell read"));
-      } else {
-        const pm::PmPool& ro = *f->pool_;
-        std::memcpy(p.dst, ro.Translate(p.remote), p.len);
-      }
-    } else {
-      if (d.action == FaultDecision::Action::kDrop) {
-        ParkFault(Status::Unavailable("injected drop: doorbell write"));
-      } else {
-        f->pool_->StoreBytes(p.remote, p.src, p.len, p.loc);
-        f->pool_->Persist(p.remote, p.len, p.loc);
-      }
-    }
-    const uint32_t wire_ops =
-        d.action == FaultDecision::Action::kDuplicate ? 2 : 1;
+    complete(p, p.is_read ? f->LandRead(d, p.remote, p.dst, p.len)
+                          : f->LandWrite(d, p.src, p.remote, p.len, p.loc,
+                                         /*publish=*/false));
+    const uint32_t wire_ops = WireOps(d);
     const uint64_t bytes = static_cast<uint64_t>(p.len) * wire_ops;
     total_bytes += bytes;
     if (p.is_read) {
@@ -370,6 +329,7 @@ void Fabric::OpBatch::Execute() {
   f->doorbell_fused_ops_.Inc(ops_.size());
   f->doorbell_saved_rts_.Inc(ops_.size() - 1);
   ops_.clear();
+  return first_failure;
 }
 
 Fabric::NodeCounters Fabric::counters(int node) const {

@@ -98,25 +98,24 @@ class Fabric {
     return injector_.load(std::memory_order_acquire);
   }
 
-  /// Returns and clears the error parked on this thread by a dropped
-  /// one-sided op (OK when none is pending). Fabric ops keep their
-  /// value-returning signatures under injection — a dropped read
-  /// zero-fills its destination, a dropped CAS reports failure — and the
-  /// initiating worker collects the real error here at its next safe
-  /// boundary (before caching a value read remotely, before publishing a
-  /// batch it believes it wrote).
-  static Status TakePendingFault();
-  static bool HasPendingFault();
+  // Every one-sided op reports its own completion, as a verbs work
+  // completion does. A dropped op (fault injection) still pays its round
+  // trip, moves no data and returns Unavailable; a dropped read
+  // zero-fills its destination. Reads take their addresses from PM bytes
+  // (bucket links, skiplist links, value pointers), so a read outside the
+  // pool completes with Corruption instead of aborting; a write or CAS
+  // outside the pool is a KN bug and still aborts.
 
   /// One-sided RDMA read: copies [src, src+len) from DPM into dst.
   /// 1 round trip + len wire bytes.
-  void Read(int node, pm::PmPtr src, void* dst, size_t len);
+  [[nodiscard]] Status Read(int node, pm::PmPtr src, void* dst, size_t len);
 
   /// One-sided RDMA write: copies [src, src+len) into DPM at dst.
   /// 1 round trip + len wire bytes. `loc` defaults to the KN-side call
   /// site, which is what the PM checker attributes the store to.
-  void Write(int node, const void* src, pm::PmPtr dst, size_t len,
-             const pm::SourceLoc& loc = pm::SourceLoc::current());
+  [[nodiscard]] Status Write(
+      int node, const void* src, pm::PmPtr dst, size_t len,
+      const pm::SourceLoc& loc = pm::SourceLoc::current());
 
   /// Write variant for a *publication point*: identical wire cost, but the
   /// durable store is a PersistPublish, so the PM checker verifies no
@@ -124,23 +123,26 @@ class Fabric {
   /// replicated flush protocol publishes the log commit marker with this
   /// (payload and mirror copy must already be durable — replicate-before-
   /// ack).
-  void WritePublish(int node, const void* src, pm::PmPtr dst, size_t len,
-                    const pm::SourceLoc& loc = pm::SourceLoc::current());
+  [[nodiscard]] Status WritePublish(
+      int node, const void* src, pm::PmPtr dst, size_t len,
+      const pm::SourceLoc& loc = pm::SourceLoc::current());
 
   /// One-sided 8-byte atomic compare-and-swap at a 8-aligned DPM address.
-  /// Returns true and installs desired iff *addr == expected.
+  /// Returns true and installs desired iff *addr == expected, false when
+  /// the compare failed, and an error when the op was dropped.
   /// 1 round trip. A successful CAS is treated as a publication point
   /// (that is what remote CAS is for: installing a pointer others follow).
-  bool CompareAndSwap64(int node, pm::PmPtr addr, uint64_t expected,
-                        uint64_t desired,
-                        const pm::SourceLoc& loc = pm::SourceLoc::current());
+  [[nodiscard]] Result<bool> CompareAndSwap64(
+      int node, pm::PmPtr addr, uint64_t expected, uint64_t desired,
+      const pm::SourceLoc& loc = pm::SourceLoc::current());
 
   /// One-sided 8-byte atomic read. 1 round trip.
-  uint64_t AtomicRead64(int node, pm::PmPtr addr);
+  [[nodiscard]] Result<uint64_t> AtomicRead64(int node, pm::PmPtr addr);
 
   /// One-sided 8-byte atomic write. 1 round trip.
-  void AtomicWrite64(int node, pm::PmPtr addr, uint64_t value,
-                     const pm::SourceLoc& loc = pm::SourceLoc::current());
+  [[nodiscard]] Status AtomicWrite64(
+      int node, pm::PmPtr addr, uint64_t value,
+      const pm::SourceLoc& loc = pm::SourceLoc::current());
 
   /// Charges the cost of a two-sided operation (an RPC executed by a DPM
   /// processor on the caller's behalf): 1 round trip, request/response
@@ -155,14 +157,14 @@ class Fabric {
   /// Models the verbs idiom of posting several work requests and ringing
   /// the doorbell once: the NIC pipelines the ops back-to-back, so the
   /// whole batch completes in one fabric round trip while every op's wire
-  /// bytes are still paid. The fault injector is consulted per fused op
-  /// (a dropped read zero-fills and parks its error, a dropped write
-  /// lands nothing, a duplicate pays double wire bytes), and each fused
-  /// op records its own trace span — the batch's single round trip rides
-  /// on the first span (rts=0 on the rest) so the trace-vs-OpCost
-  /// round-trip cross-check stays exact. A batch of one degenerates to
-  /// the plain op; a batch of N>=2 saves N-1 round trips and counts into
-  /// the fabric.doorbell.{batches,fused_ops,saved_rts} metrics.
+  /// bytes are still paid. Each fused op completes on its own, exactly as
+  /// the plain op would (the fault injector decides per op; a duplicate
+  /// pays double wire bytes), and records its own trace span — the
+  /// batch's single round trip rides on the first span (rts=0 on the
+  /// rest) so the trace-vs-OpCost round-trip cross-check stays exact. A
+  /// batch of one degenerates to the plain op; a batch of N>=2 saves N-1
+  /// round trips and counts into the
+  /// fabric.doorbell.{batches,fused_ops,saved_rts} metrics.
   class OpBatch {
    public:
     OpBatch(Fabric* fabric, int node) : fabric_(fabric), node_(node) {}
@@ -170,8 +172,12 @@ class Fabric {
     OpBatch(const OpBatch&) = delete;
     OpBatch& operator=(const OpBatch&) = delete;
 
-    void AddRead(pm::PmPtr src, void* dst, size_t len);
+    /// Queues one op. Execute stores the op's own completion status in
+    /// `*fate` when it is non-null.
+    void AddRead(pm::PmPtr src, void* dst, size_t len,
+                 Status* fate = nullptr);
     void AddWrite(const void* src, pm::PmPtr dst, size_t len,
+                  Status* fate = nullptr,
                   const pm::SourceLoc& loc = pm::SourceLoc::current());
 
     size_t size() const { return ops_.size(); }
@@ -179,8 +185,9 @@ class Fabric {
     int node() const { return node_; }
 
     /// Executes every queued op in one fused fabric round and clears the
-    /// batch for reuse.
-    void Execute();
+    /// batch for reuse. Returns Ok when every op landed, else the first
+    /// failed op's status; each op's own fate goes to its `fate` slot.
+    [[nodiscard]] Status Execute();
 
    private:
     struct Pending {
@@ -189,6 +196,7 @@ class Fabric {
       void* dst;        // read destination (reads only)
       const void* src;  // write source (writes only)
       size_t len;
+      Status* fate;
       pm::SourceLoc loc;
     };
 
@@ -238,6 +246,17 @@ class Fabric {
   /// optional wall-clock sleep) here, returns the decision so each op
   /// implements drop/duplicate semantics itself.
   FaultDecision ConsultInjector(int node, bool allow_drop);
+  /// Completes one posted read under `d`: copies the payload, or
+  /// zero-fills `dst` (never remote garbage — zero decodes as invalid
+  /// everywhere) and returns why the read failed.
+  Status LandRead(const FaultDecision& d, pm::PmPtr src, void* dst,
+                  size_t len);
+  /// Completes one posted durable write under `d` (a dropped write
+  /// changes no remote byte). `publish` persists with PersistPublish.
+  Status LandWrite(const FaultDecision& d, const void* src, pm::PmPtr dst,
+                   size_t len, const pm::SourceLoc& loc, bool publish);
+  Status WriteImpl(int node, const void* src, pm::PmPtr dst, size_t len,
+                   const pm::SourceLoc& loc, bool publish);
 
   pm::PmPool* pool_;
   LinkProfile profile_;

@@ -33,9 +33,8 @@ namespace net {
 ///  * one-sided ops (Read/Write/CAS/Atomic*): kDelay adds latency to the
 ///    op's cost (and optionally wall-clock sleeps on the real cluster);
 ///    kDrop performs no data movement — reads zero-fill the destination —
-///    and parks a thread-local "pending fault" Status the KN worker
-///    collects at its next safe boundary; kDuplicate charges the op twice
-///    (an idempotent replay, the common RDMA duplication mode).
+///    and the op returns Unavailable to its caller; kDuplicate charges the
+///    op twice (an idempotent replay, the common RDMA duplication mode).
 ///  * RPCs: the injector returns Unavailable/Busy from the DPM method
 ///    itself, before any state changes, modeling a rejected request.
 ///  * kFailStop arms a kill of one KN; the injector only *flags* it

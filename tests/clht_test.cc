@@ -193,33 +193,39 @@ TEST_F(ClhtTest, RemoteLookupFindsKeys) {
     ASSERT_TRUE(table_->Upsert(k, Val(k)).ok());
   }
   auto handle = table_->FetchRemoteHandle(&fabric_, /*node=*/1);
-  ASSERT_TRUE(handle.valid());
-  EXPECT_EQ(handle.epoch, table_->Epoch());
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(handle->valid());
+  EXPECT_EQ(handle->epoch, table_->Epoch());
 
   for (uint64_t k = 1; k <= 500; ++k) {
-    auto r = table_->RemoteLookup(&fabric_, 1, handle, k);
-    ASSERT_TRUE(r.found) << "key " << k;
-    EXPECT_EQ(r.value, Val(k));
-    EXPECT_GE(r.hops, 1u);
+    auto r = table_->RemoteLookup(&fabric_, 1, *handle, k);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r->found) << "key " << k;
+    EXPECT_EQ(r->value, Val(k));
+    EXPECT_GE(r->hops, 1u);
   }
 }
 
 TEST_F(ClhtTest, RemoteLookupMissReportsHops) {
   auto handle = table_->FetchRemoteHandle(&fabric_, 1);
-  auto r = table_->RemoteLookup(&fabric_, 1, handle, 999);
-  EXPECT_FALSE(r.found);
-  EXPECT_GE(r.hops, 1u);
+  ASSERT_TRUE(handle.ok());
+  auto r = table_->RemoteLookup(&fabric_, 1, *handle, 999);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->found);
+  EXPECT_GE(r->hops, 1u);
 }
 
 TEST_F(ClhtTest, RemoteLookupChargesOneRtPerHop) {
   ASSERT_TRUE(table_->Upsert(5, Val(5)).ok());
   auto handle = table_->FetchRemoteHandle(&fabric_, 2);
+  ASSERT_TRUE(handle.ok());
   net::OpCost cost;
   {
     net::ScopedOpCost scope(&cost);
-    auto r = table_->RemoteLookup(&fabric_, 2, handle, 5);
-    ASSERT_TRUE(r.found);
-    EXPECT_EQ(cost.round_trips, r.hops);
+    auto r = table_->RemoteLookup(&fabric_, 2, *handle, 5);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r->found);
+    EXPECT_EQ(cost.round_trips, r->hops);
   }
 }
 
@@ -231,20 +237,64 @@ TEST_F(ClhtTest, StaleRemoteHandleStillServesPreResizeKeys) {
     ASSERT_TRUE(table_->Upsert(k, Val(k)).ok());
   }
   auto stale = table_->FetchRemoteHandle(&fabric_, 1);
+  ASSERT_TRUE(stale.ok());
   // Force resizes.
   for (uint64_t k = 101; k <= 20000; ++k) {
     ASSERT_TRUE(table_->Upsert(k, Val(k)).ok());
   }
-  ASSERT_GT(table_->Epoch(), stale.epoch);
+  ASSERT_GT(table_->Epoch(), stale->epoch);
   for (uint64_t k = 1; k <= 100; ++k) {
-    auto r = table_->RemoteLookup(&fabric_, 1, stale, k);
-    ASSERT_TRUE(r.found) << "key " << k;
-    EXPECT_EQ(r.value, Val(k));
+    auto r = table_->RemoteLookup(&fabric_, 1, *stale, k);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r->found) << "key " << k;
+    EXPECT_EQ(r->value, Val(k));
   }
   // A refreshed handle sees everything.
   auto fresh = table_->FetchRemoteHandle(&fabric_, 1);
-  auto r = table_->RemoteLookup(&fabric_, 1, fresh, 15000);
-  EXPECT_TRUE(r.found);
+  ASSERT_TRUE(fresh.ok());
+  auto r = table_->RemoteLookup(&fabric_, 1, *fresh, 15000);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->found);
+}
+
+TEST_F(ClhtTest, RemoteHandleRejectsOutOfRangeBucketCount) {
+  // The header's packed word is (epoch << 8) | log2_buckets. A log2 the
+  // remote reader would shift by (>= 64 is undefined behaviour) or whose
+  // bucket array cannot be addressed is corruption, not a handle.
+  for (const uint64_t log2 : {64u, 200u, 58u}) {
+    const uint64_t packed = (uint64_t{7} << 8) | log2;
+    ASSERT_TRUE(
+        fabric_.AtomicWrite64(0, table_->header_ptr(), packed).ok());
+    auto handle = table_->FetchRemoteHandle(&fabric_, 1);
+    ASSERT_FALSE(handle.ok()) << "log2 " << log2;
+    EXPECT_TRUE(handle.status().IsCorruption()) << handle.status().ToString();
+  }
+}
+
+TEST_F(ClhtTest, RemoteLookupRejectsHostileChainLinks) {
+  auto handle = table_->FetchRemoteHandle(&fabric_, 1);
+  ASSERT_TRUE(handle.ok());
+  // Point every bucket's `next` (the last word of its 64-byte line) past
+  // the end of the pool: whichever bucket a key hashes to, the traversal
+  // follows the link and must report it instead of aborting.
+  for (uint64_t i = 0; i < handle->num_buckets; ++i) {
+    const pm::PmPtr next_word = handle->buckets + i * 64 + 56;
+    ASSERT_TRUE(
+        fabric_.AtomicWrite64(0, next_word, pool_.capacity() + 4096).ok());
+  }
+  auto r = table_->RemoteLookup(&fabric_, 1, *handle, 42);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+
+  // A link back to its own bucket is a cycle: the traversal gives up with
+  // Corruption instead of spinning.
+  for (uint64_t i = 0; i < handle->num_buckets; ++i) {
+    const pm::PmPtr bucket = handle->buckets + i * 64;
+    ASSERT_TRUE(fabric_.AtomicWrite64(0, bucket + 56, bucket).ok());
+  }
+  r = table_->RemoteLookup(&fabric_, 1, *handle, 42);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
 }
 
 TEST_F(ClhtTest, FreeRetiredTablesReclaimsSpace) {

@@ -50,7 +50,8 @@ std::string ReadFromPool(dpm::DpmPool* pool, uint64_t key_hash) {
   const dpm::ValuePtr vp(node->index()->Lookup(key_hash));
   if (vp.null() || vp.indirect()) return "";
   std::string buf(vp.entry_size(), '\0');
-  node->fabric()->Read(0, vp.offset(), buf.data(), buf.size());
+  EXPECT_TRUE(
+      node->fabric()->Read(0, vp.offset(), buf.data(), buf.size()).ok());
   dpm::LogRecord rec;
   size_t consumed = 0;
   if (!dpm::DecodeEntry(buf.data(), buf.size(), &rec, &consumed).ok()) {

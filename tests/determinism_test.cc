@@ -136,7 +136,7 @@ TEST(MergeServiceEdgeTest, ConcurrentDrainersAndWorkers) {
                                 std::to_string(i);
         b.AddPut(i, HashSlice(key), key, "v");
         const pm::PmPtr dst = seg.value() + 64 + used;
-        dpm.fabric()->Write(o, b.data(), dst, b.bytes());
+        ASSERT_TRUE(dpm.fabric()->Write(o, b.data(), dst, b.bytes()).ok());
         ASSERT_TRUE(dpm.SubmitBatch(o, owner, seg.value(), dst, b.bytes(),
                                     b.puts())
                         .ok());

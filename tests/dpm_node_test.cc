@@ -44,7 +44,8 @@ struct TestWriter {
       seg_used = 0;
     }
     const pm::PmPtr dst = segment + header + seg_used;
-    dpm->fabric()->Write(node, batch.data(), dst, batch.bytes());
+    EXPECT_TRUE(
+        dpm->fabric()->Write(node, batch.data(), dst, batch.bytes()).ok());
     auto sub = dpm->SubmitBatch(node, owner, segment, dst, batch.bytes(),
                                 batch.puts());
     EXPECT_TRUE(sub.ok());
@@ -78,7 +79,8 @@ TEST(DpmNodeTest, WriteMergeLookupRoundTrip) {
   ValuePtr vp(raw);
   // Read the entry back (as a KN would with one one-sided read) and check.
   std::string buf(vp.entry_size(), '\0');
-  dpm.fabric()->Read(0, vp.offset(), buf.data(), vp.entry_size());
+  ASSERT_TRUE(
+      dpm.fabric()->Read(0, vp.offset(), buf.data(), vp.entry_size()).ok());
   LogRecord rec;
   size_t consumed;
   ASSERT_TRUE(DecodeEntry(buf.data(), buf.size(), &rec, &consumed).ok());
@@ -99,7 +101,8 @@ TEST(DpmNodeTest, MergePreservesPerOwnerOrder) {
   ASSERT_NE(raw, pm::kNullPmPtr);
   ValuePtr vp(raw);
   std::string buf(vp.entry_size(), '\0');
-  dpm.fabric()->Read(0, vp.offset(), buf.data(), vp.entry_size());
+  ASSERT_TRUE(
+      dpm.fabric()->Read(0, vp.offset(), buf.data(), vp.entry_size()).ok());
   LogRecord rec;
   size_t consumed;
   ASSERT_TRUE(DecodeEntry(buf.data(), buf.size(), &rec, &consumed).ok());
@@ -258,7 +261,7 @@ TEST_F(IndirectTest, InstallPointsSlotAtCurrentValue) {
   EXPECT_EQ(dpm_.SharedSlot(key_hash_), slot.value());
 
   // Slot holds the pre-share value pointer.
-  EXPECT_EQ(dpm_.fabric()->AtomicRead64(0, slot.value()), before);
+  EXPECT_EQ(*dpm_.fabric()->AtomicRead64(0, slot.value()), before);
   // The index now carries the indirect marker.
   ValuePtr marker(dpm_.index()->Lookup(key_hash_));
   EXPECT_TRUE(marker.indirect());
@@ -291,9 +294,10 @@ TEST_F(IndirectTest, SharedWritesViaCasThenRemoveWritesBack) {
   const pm::PmPtr entry = w.WriteBatch(b);
   const ValuePtr packed =
       ValuePtr::Pack(entry, static_cast<uint32_t>(b.bytes()));
-  const uint64_t old = dpm_.fabric()->AtomicRead64(2, slot.value());
+  const Result<uint64_t> old = dpm_.fabric()->AtomicRead64(2, slot.value());
+  ASSERT_TRUE(old.ok());
   ASSERT_TRUE(
-      dpm_.fabric()->CompareAndSwap64(2, slot.value(), old, packed.raw()));
+      *dpm_.fabric()->CompareAndSwap64(2, slot.value(), *old, packed.raw()));
 
   ASSERT_TRUE(dpm_.merge()->DrainAll().ok());
   // De-replicate: the final slot value lands back in the index.
@@ -303,7 +307,8 @@ TEST_F(IndirectTest, SharedWritesViaCasThenRemoveWritesBack) {
 
   ValuePtr vp(dpm_.index()->Lookup(key_hash_));
   std::string buf(vp.entry_size(), '\0');
-  dpm_.fabric()->Read(0, vp.offset(), buf.data(), vp.entry_size());
+  ASSERT_TRUE(
+      dpm_.fabric()->Read(0, vp.offset(), buf.data(), vp.entry_size()).ok());
   LogRecord rec;
   size_t consumed;
   ASSERT_TRUE(DecodeEntry(buf.data(), buf.size(), &rec, &consumed).ok());

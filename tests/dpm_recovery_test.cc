@@ -59,7 +59,7 @@ std::string ReadValue(DpmNode* dpm, const std::string& key) {
   if (raw == pm::kNullPmPtr) return "<missing>";
   ValuePtr vp(raw);
   std::string buf(vp.entry_size(), '\0');
-  dpm->fabric()->Read(0, vp.offset(), buf.data(), buf.size());
+  EXPECT_TRUE(dpm->fabric()->Read(0, vp.offset(), buf.data(), buf.size()).ok());
   LogRecord rec;
   size_t consumed;
   if (!DecodeEntry(buf.data(), buf.size(), &rec, &consumed).ok()) {
@@ -194,11 +194,13 @@ TEST(DpmRecoveryTest, SharedSlotsRebuiltFromIndirectMarkers) {
   EXPECT_TRUE(node->IsShared(kh));
   EXPECT_EQ(node->SharedSlot(kh), slot_ptr);
   // The slot still resolves to the committed value.
-  const uint64_t raw = node->fabric()->AtomicRead64(0, slot_ptr);
-  ASSERT_NE(raw, 0u);
-  ValuePtr vp(raw);
+  const Result<uint64_t> raw = node->fabric()->AtomicRead64(0, slot_ptr);
+  ASSERT_TRUE(raw.ok());
+  ASSERT_NE(*raw, 0u);
+  ValuePtr vp(*raw);
   std::string buf(vp.entry_size(), '\0');
-  node->fabric()->Read(0, vp.offset(), buf.data(), buf.size());
+  ASSERT_TRUE(
+      node->fabric()->Read(0, vp.offset(), buf.data(), buf.size()).ok());
   LogRecord rec;
   size_t consumed;
   ASSERT_TRUE(DecodeEntry(buf.data(), buf.size(), &rec, &consumed).ok());

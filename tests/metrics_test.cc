@@ -222,9 +222,9 @@ TEST(MetricsTest, FabricPublishesPerNodeTraffic) {
   {
     net::Fabric fabric(&pool, net::LinkProfile{}, &reg);
     char buf[64] = {};
-    fabric.Read(1, 64, buf, 64);
-    fabric.Write(1, buf, 128, 64);
-    fabric.Read(3, 64, buf, 32);
+    ASSERT_TRUE(fabric.Read(1, 64, buf, 64).ok());
+    ASSERT_TRUE(fabric.Write(1, buf, 128, 64).ok());
+    ASSERT_TRUE(fabric.Read(3, 64, buf, 32).ok());
 
     EXPECT_EQ(reg.CounterValue("fabric.node1.round_trips"), 2u);
     EXPECT_EQ(reg.CounterValue("fabric.node1.wire_bytes"), 128u);

@@ -69,7 +69,8 @@ std::string ReadNodeValue(dpm::DpmNode* node, uint64_t key_hash) {
   if (raw == pm::kNullPmPtr) return "<missing>";
   dpm::ValuePtr vp(raw);
   std::string buf(vp.entry_size(), '\0');
-  node->fabric()->Read(0, vp.offset(), buf.data(), buf.size());
+  EXPECT_TRUE(
+      node->fabric()->Read(0, vp.offset(), buf.data(), buf.size()).ok());
   dpm::LogRecord rec;
   size_t consumed = 0;
   if (!dpm::DecodeEntry(buf.data(), buf.size(), &rec, &consumed).ok()) {
@@ -156,7 +157,10 @@ TEST(ReplicationTest, CommitMarkerWithheldUntilMirrorAck) {
   // write whose mirror copy does not exist.
   const size_t len2 = dpm::EncodedEntrySize(k2.size(), v2.size());
   std::string buf(len2, '\0');
-  pool.node(pl.primary)->fabric()->Read(0, dst2, buf.data(), buf.size());
+  ASSERT_TRUE(pool.node(pl.primary)
+                  ->fabric()
+                  ->Read(0, dst2, buf.data(), buf.size())
+                  .ok());
   dpm::LogRecord rec;
   size_t consumed = 0;
   const Status dec =
@@ -206,7 +210,10 @@ TEST(ReplicationTest, ReorderedAppendPublishesMarkerWithoutMirrorAck) {
 
   const size_t len2 = dpm::EncodedEntrySize(k2.size(), v2.size());
   std::string buf(len2, '\0');
-  pool.node(pl.primary)->fabric()->Read(0, dst2, buf.data(), buf.size());
+  ASSERT_TRUE(pool.node(pl.primary)
+                  ->fabric()
+                  ->Read(0, dst2, buf.data(), buf.size())
+                  .ok());
   dpm::LogRecord rec;
   size_t consumed = 0;
   // ...but the primary already published a decodable, committed-looking

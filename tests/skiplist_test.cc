@@ -173,16 +173,17 @@ TEST_F(SkipListTest, RemoteWalkMatchesLocalIteration) {
 
   auto handle =
       PmSkipList::FetchRemoteHandle(&fabric_, /*node=*/1, list_->header_ptr());
-  ASSERT_TRUE(handle.valid());
-  EXPECT_EQ(handle.version, list_->Version());
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(handle->valid());
+  EXPECT_EQ(handle->version, list_->Version());
 
   // Walk level 0 with one-sided reads; live rows must equal ForEach.
   std::vector<std::pair<uint64_t, pm::PmPtr>> remote;
   PmSkipList::NodeImage img;
-  ASSERT_TRUE(PmSkipList::ReadRemoteNode(&fabric_, 1, handle.head, &img));
+  ASSERT_TRUE(PmSkipList::ReadRemoteNode(&fabric_, 1, handle->head, &img).ok());
   pm::PmPtr p = img.next[0];
   while (p != pm::kNullPmPtr) {
-    ASSERT_TRUE(PmSkipList::ReadRemoteNode(&fabric_, 1, p, &img));
+    ASSERT_TRUE(PmSkipList::ReadRemoteNode(&fabric_, 1, p, &img).ok());
     if (!img.tombstone()) remote.emplace_back(img.okey, img.value);
     p = img.next[0];
   }
@@ -196,7 +197,21 @@ TEST_F(SkipListTest, ReadRemoteNodeRejectsGarbage) {
   auto scratch = alloc_.Alloc(PmSkipList::kNodeBytes);
   ASSERT_TRUE(scratch.ok());
   PmSkipList::NodeImage img;
-  EXPECT_FALSE(PmSkipList::ReadRemoteNode(&fabric_, 1, scratch.value(), &img));
+  const Status st =
+      PmSkipList::ReadRemoteNode(&fabric_, 1, scratch.value(), &img);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+TEST_F(SkipListTest, ReadRemoteNodeRejectsPointerPastThePool) {
+  // Node links come off the wire: a hostile next[] pointer past the pool
+  // (or straddling its end) is reported, never dereferenced.
+  PmSkipList::NodeImage img;
+  for (const pm::PmPtr p :
+       {pool_.capacity() + 4096, pool_.capacity() - PmSkipList::kNodeBytes / 2,
+        ~pm::PmPtr{0} - 8}) {
+    const Status st = PmSkipList::ReadRemoteNode(&fabric_, 1, p, &img);
+    EXPECT_TRUE(st.IsCorruption()) << p << ": " << st.ToString();
+  }
 }
 
 // ----- KN search-layer cache over a real list -----
@@ -207,7 +222,7 @@ TEST_F(SkipListTest, SearchLayerCacheSeeksAndCachesByGeneration) {
   }
   kn::SearchLayerCache slc;
   ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(),
-                              /*generation=*/3));
+                              /*generation=*/3).ok());
   EXPECT_TRUE(slc.valid());
   EXPECT_EQ(slc.rebuilds(), 1u);
   EXPECT_GT(slc.size(), 0u);  // 2000 inserts surely made tall nodes
@@ -221,17 +236,17 @@ TEST_F(SkipListTest, SearchLayerCacheSeeksAndCachesByGeneration) {
     ASSERT_NE(pos, pm::kNullPmPtr);
     if (pos != slc.head()) {
       PmSkipList::NodeImage img;
-      ASSERT_TRUE(PmSkipList::ReadRemoteNode(&fabric_, 1, pos, &img));
+      ASSERT_TRUE(PmSkipList::ReadRemoteNode(&fabric_, 1, pos, &img).ok());
       EXPECT_LT(img.okey, start);
     }
   }
 
   // Same generation + unchanged version: the poll fast path, no rebuild.
-  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 3));
+  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 3).ok());
   EXPECT_EQ(slc.rebuilds(), 1u);
   // An ownership change (new generation) forces a rebuild even when the
   // list itself did not move.
-  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 4));
+  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 4).ok());
   EXPECT_EQ(slc.rebuilds(), 2u);
   // Clear() drops the layer (ownership-change invalidation path).
   slc.Clear();
@@ -246,7 +261,7 @@ std::vector<pm::PmPtr> LearnWholeList(net::Fabric* fabric, pm::PmPtr head,
   PmSkipList::NodeImage img;
   pm::PmPtr p = head;
   while (p != pm::kNullPmPtr) {
-    EXPECT_TRUE(PmSkipList::ReadRemoteNode(fabric, 1, p, &img));
+    EXPECT_TRUE(PmSkipList::ReadRemoteNode(fabric, 1, p, &img).ok());
     slc->Learn(img.okey, p, img.next[0]);
     if (p != head) nodes.push_back(p);
     p = img.next[0];
@@ -259,7 +274,7 @@ TEST_F(SkipListTest, SearchLayerCachePredictsRunsFromLearnedLinks) {
     ASSERT_TRUE(list_->Upsert(2 * k, Val(k)).ok());  // even okeys 2..4000
   }
   kn::SearchLayerCache slc(/*link_budget_bytes=*/1 << 20);
-  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 3));
+  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 3).ok());
   std::vector<pm::PmPtr> run;
   EXPECT_FALSE(slc.PredictRun(list_->header_ptr(), 3, 10, 4, &run));
 
@@ -301,7 +316,7 @@ TEST_F(SkipListTest, SearchLayerCachePredictsRunsFromLearnedLinks) {
   EXPECT_FALSE(slc.PredictRun(list_->header_ptr(), 3, 13, 6, &run));
 
   // A rebuild for a new generation drops every link.
-  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 4));
+  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 4).ok());
   EXPECT_EQ(slc.links(), 0u);
 }
 
@@ -311,7 +326,7 @@ TEST_F(SkipListTest, SearchLayerCacheLinksStayWithinBudget) {
   }
   constexpr size_t kBudget = 32 * 1024;
   kn::SearchLayerCache slc(kBudget);
-  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 1));
+  ASSERT_TRUE(slc.EnsureFresh(&fabric_, 1, list_->header_ptr(), 1).ok());
   LearnWholeList(&fabric_, slc.head(), &slc);
   EXPECT_GT(slc.links(), 0u);
   EXPECT_LE(slc.links() * sizeof(kn::SearchLayerCache::Link), kBudget);
@@ -321,7 +336,7 @@ TEST_F(SkipListTest, SearchLayerCacheLinksStayWithinBudget) {
   EXPECT_EQ(run.size(), 6u);
   // No budget, no links (the head's own link is free).
   kn::SearchLayerCache none;
-  ASSERT_TRUE(none.EnsureFresh(&fabric_, 1, list_->header_ptr(), 1));
+  ASSERT_TRUE(none.EnsureFresh(&fabric_, 1, list_->header_ptr(), 1).ok());
   LearnWholeList(&fabric_, none.head(), &none);
   EXPECT_EQ(none.links(), 0u);
 }
