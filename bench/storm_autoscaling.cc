@@ -274,6 +274,9 @@ int main(int argc, char** argv) {
             "the KN count did not come back down from its peak")
       .Gate(sum + "delivered_ratio", ">=", 0.95,
             "the open-loop backlog never drained; offered traffic is being "
-            "dropped or stranded");
+            "dropped or stranded")
+      .Gate("metrics.counters.dpm.segments_gced", ">", 0,
+            "no log segment was ever reclaimed: the write-heavy tenant's "
+            "superseded entries pin their segments (log cleaner broken)");
   return reporter.Finish() ? 0 : 1;
 }

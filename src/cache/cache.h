@@ -130,6 +130,11 @@ class KnCache {
   /// Drops one key (de-replication invalidation).
   virtual void Invalidate(uint64_t key) = 0;
 
+  /// The DPM's log cleaner moved `key`'s entry from `from` to a verbatim
+  /// copy at `to`: a cached pointer still equal to `from` becomes `to`.
+  /// Anything else (a newer write, no entry) is left alone.
+  virtual void Repoint(uint64_t key, dpm::ValuePtr from, dpm::ValuePtr to) = 0;
+
   /// Drops every key for which `pred` returns true. Reconfiguration uses
   /// this so a KN only empties the partitions it actually lost (§3.4).
   virtual void InvalidateIf(const std::function<bool(uint64_t)>& pred) = 0;

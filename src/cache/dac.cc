@@ -143,6 +143,13 @@ void DacCache::AdmitShortcutOnly(uint64_t key, dpm::ValuePtr ptr) {
   InsertShortcutLocked(key, ptr, 1);
 }
 
+void DacCache::Repoint(uint64_t key, dpm::ValuePtr from, dpm::ValuePtr to) {
+  auto vit = values_.find(key);
+  if (vit != values_.end() && vit->second.ptr == from) vit->second.ptr = to;
+  auto sit = shortcuts_.find(key);
+  if (sit != shortcuts_.end() && sit->second.ptr == from) sit->second.ptr = to;
+}
+
 void DacCache::Invalidate(uint64_t key) {
   EraseValue(key);
   EraseShortcut(key);

@@ -162,6 +162,13 @@ void StaticCache::AdmitShortcutOnly(uint64_t key, dpm::ValuePtr ptr) {
   AdmitShortcut(key, ptr);
 }
 
+void StaticCache::Repoint(uint64_t key, dpm::ValuePtr from, dpm::ValuePtr to) {
+  auto vit = values_.find(key);
+  if (vit != values_.end() && vit->second.ptr == from) vit->second.ptr = to;
+  auto sit = shortcuts_.find(key);
+  if (sit != shortcuts_.end() && sit->second.ptr == from) sit->second.ptr = to;
+}
+
 void StaticCache::Invalidate(uint64_t key) {
   EraseValue(key);
   EraseShortcut(key);

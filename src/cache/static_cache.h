@@ -38,6 +38,7 @@ class StaticCache final : public KnCache {
                     dpm::ValuePtr ptr) override;
   void AdmitShortcutOnly(uint64_t key, dpm::ValuePtr ptr) override;
   void Invalidate(uint64_t key) override;
+  void Repoint(uint64_t key, dpm::ValuePtr from, dpm::ValuePtr to) override;
   void InvalidateIf(const std::function<bool(uint64_t)>& pred) override;
   void Clear() override;
 

@@ -412,6 +412,17 @@ Status Cluster::Start() {
       kn::KvsNode* target = kn(kn_id);
       if (target != nullptr) target->OnBatchMerged(ack);
     });
+    node->merge()->SetRelocationCallback(
+        [this](int dpm_node, const std::vector<dpm::Relocation>& moves) {
+          kn::DeliverRelocations(
+              *protocol_.routing()->Snapshot(), dpm_node, moves,
+              [this](uint64_t kn_id, int thread) -> kn::KnWorker* {
+                kn::KvsNode* target = kn(kn_id);
+                return target != nullptr && thread < target->num_workers()
+                           ? target->worker(thread)
+                           : nullptr;
+              });
+        });
     if (tracer()->enabled()) node->merge()->SetTracer(tracer());
     node->merge()->StartThreads(options_.dpm_merge_threads);
   }

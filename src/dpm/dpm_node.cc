@@ -59,7 +59,10 @@ DpmNode::DpmNode(const DpmOptions& options)
       segments_gced_(metrics_.counter("segments_gced")),
       log_batches_(metrics_.counter("log.batches")),
       log_bytes_(metrics_.counter("log.bytes")),
-      log_puts_(metrics_.counter("log.puts")) {
+      log_puts_(metrics_.counter("log.puts")),
+      clean_victims_(metrics_.counter("clean.victims")),
+      clean_relocated_(metrics_.counter("clean.relocated")),
+      clean_lost_(metrics_.counter("clean.lost")) {
   WireLockMetrics();
   pool_ = std::make_unique<pm::PmPool>(options_.pool_size, options_.crash_sim,
                                        options_.metrics);
@@ -74,6 +77,9 @@ DpmNode::DpmNode(const DpmOptions& options, std::unique_ptr<pm::PmPool> pool)
       log_batches_(metrics_.counter("log.batches")),
       log_bytes_(metrics_.counter("log.bytes")),
       log_puts_(metrics_.counter("log.puts")),
+      clean_victims_(metrics_.counter("clean.victims")),
+      clean_relocated_(metrics_.counter("clean.relocated")),
+      clean_lost_(metrics_.counter("clean.lost")),
       pool_(std::move(pool)) {
   WireLockMetrics();
 }
@@ -222,6 +228,19 @@ Status DpmNode::InitRecovered() {
                                           options_.metrics);
   alloc_->SetHighWaterHook([this](pm::PmPtr hw) { PersistHighWater(); (void)hw; });
 
+  // Rebuild the shared-key directory from the indirect markers the index
+  // still carries (the slots themselves are persistent). Replay and the
+  // cleaner both route a shared key's versions through its slot, so the
+  // directory must be whole before either runs.
+  index_->ForEach([&](uint64_t key_hash, pm::PmPtr value) {
+    ValuePtr vp(value);
+    if (vp.indirect()) {
+      shared_slots_.WithShard(key_hash, [&](auto& m) {
+        m[key_hash] = vp.offset();
+      });
+    }
+  });
+
   // Rebuild the segment registry from the persistent directory and queue
   // the un-merged committed log suffixes for (idempotent) replay.
   const auto* dir =
@@ -243,6 +262,15 @@ Status DpmNode::InitRecovered() {
     info.puts_total = hdr->puts_total;
     info.puts_invalid = hdr->puts_invalid;
     if (info.merged_bytes < info.used_bytes) info.unmerged_batches = 1;
+    if (info.owner == kCleanerOwner && info.state == SegmentState::kActive) {
+      // The cleaner opens a fresh segment after a restart; this one
+      // becomes an ordinary candidate.
+      info.state = SegmentState::kSealed;
+      info.sealed_at = seal_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+      pool_->Store(base + offsetof(SegmentPmHeader, state),
+                   static_cast<uint64_t>(SegmentState::kSealed));
+      pool_->Persist(base, sizeof(SegmentPmHeader));
+    }
     RegisterSegment(base, info);
     {
       MutexLock lock(dir_mu_);
@@ -260,24 +288,16 @@ Status DpmNode::InitRecovered() {
     }
   }
   DINOMO_RETURN_IF_ERROR(merge_->DrainAll());
-
-  // Rebuild the shared-key directory from the indirect markers the index
-  // still carries (the slots themselves are persistent).
-  index_->ForEach([&](uint64_t key_hash, pm::PmPtr value) {
-    ValuePtr vp(value);
-    if (vp.indirect()) {
-      shared_slots_.WithShard(key_hash, [&](auto& m) {
-        m[key_hash] = vp.offset();
-      });
-    }
-  });
+  // Segments that were worth cleaning before the crash stay so: let the
+  // first merge after recovery queue a pass.
+  clean_wanted_.store(!options_.partitioned_metadata,
+                      std::memory_order_release);
   return Status::Ok();
 }
 
 DpmNode::~DpmNode() = default;
 
-Result<pm::PmPtr> DpmNode::AllocateSegment(int kn_node, uint64_t owner) {
-  DINOMO_RETURN_IF_ERROR(RpcFault(kn_node));
+Result<pm::PmPtr> DpmNode::NewSegment(uint64_t owner, size_t merged_bytes) {
   auto seg = alloc_->Alloc(options_.segment_size);
   if (!seg.ok()) return seg.status();
   const pm::PmPtr base = seg.value();
@@ -286,15 +306,28 @@ Result<pm::PmPtr> DpmNode::AllocateSegment(int kn_node, uint64_t owner) {
   hdr.capacity = options_.segment_size - kSegmentHeaderSize;
   hdr.owner = owner;
   hdr.state = static_cast<uint64_t>(SegmentState::kActive);
+  hdr.merged_bytes = merged_bytes;
   pool_->Store(base, hdr);
   pool_->Persist(base, sizeof(SegmentPmHeader));
 
-  DINOMO_RETURN_IF_ERROR(DirectoryAdd(base, owner));
+  Status listed = DirectoryAdd(base, owner);
+  if (!listed.ok()) {
+    alloc_->Free(base);
+    return listed;
+  }
   SegmentInfo info;
   info.owner = owner;
   info.gen = seg_gen_.fetch_add(1, std::memory_order_relaxed) + 1;
+  info.merged_bytes = merged_bytes;
   RegisterSegment(base, info);
   segments_allocated_.Inc();
+  return base;
+}
+
+Result<pm::PmPtr> DpmNode::AllocateSegment(int kn_node, uint64_t owner) {
+  DINOMO_RETURN_IF_ERROR(RpcFault(kn_node));
+  auto base = NewSegment(owner, /*merged_bytes=*/0);
+  if (!base.ok()) return base.status();
   // Segment pre-allocation is a two-sided operation (paper §4: "KNs
   // proactively preallocate log segments for their own use using
   // two-sided operations").
@@ -390,10 +423,7 @@ Status DpmNode::SealSegment(int kn_node, uint64_t owner, pm::PmPtr segment) {
     if (sit == oit->second.segments.end()) {
       return Status::InvalidArgument("unknown segment");
     }
-    sit->second.state = SegmentState::kSealed;
-    pool_->Store(segment + offsetof(SegmentPmHeader, state),
-                 static_cast<uint64_t>(SegmentState::kSealed));
-    pool_->Persist(segment, sizeof(SegmentPmHeader));
+    SealLocked(segment, &sit->second);
     MaybeGcOwnerLocked(oit->second, segment, &sit->second);
     return Status::Ok();
   });
@@ -533,13 +563,47 @@ void DpmNode::CompleteBatch(uint64_t owner, pm::PmPtr segment, pm::PmPtr data,
   });
 }
 
+void DpmNode::SealLocked(pm::PmPtr base, SegmentInfo* info) {
+  if (info->state != SegmentState::kSealed) {
+    info->sealed_at = seal_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  info->state = SegmentState::kSealed;
+  pool_->Store(base + offsetof(SegmentPmHeader, state),
+               static_cast<uint64_t>(SegmentState::kSealed));
+  pool_->Persist(base, sizeof(SegmentPmHeader));
+}
+
+namespace {
+// A cleaning candidate: sealed, fully merged, not being cleaned, and at
+// least 40% of its puts superseded. (At one half, cold copies parked in
+// 50-100%-live segments kept hostbench update_mix's space amplification
+// growing with run length; at 40% it holds steady.) Fully dead segments
+// never get here; GC frees them outright.
+template <typename Info>
+bool Cleanable(const Info& info) {
+  return info.state == SegmentState::kSealed && !info.cleaning &&
+         info.unmerged_batches == 0 && info.puts_total > 0 &&
+         5 * info.puts_invalid >= 2 * info.puts_total;
+}
+}  // namespace
+
 void DpmNode::MaybeGcOwnerLocked(OwnerSegments& os, pm::PmPtr base,
                                  SegmentInfo* info) {
-  if (info->state != SegmentState::kSealed) return;
+  if (info->state != SegmentState::kSealed || info->cleaning) return;
   if (info->unmerged_batches != 0) return;
-  if (info->puts_invalid < info->puts_total) return;
+  if (info->puts_invalid < info->puts_total) {
+    // Garbage, not pool pressure, triggers cleaning.
+    if (Cleanable(*info) && !options_.partitioned_metadata) {
+      clean_wanted_.store(true, std::memory_order_release);
+    }
+    return;
+  }
   // Every value in the segment is superseded and everything merged:
   // reclaim (paper §4, per-log-segment valid/invalid counters).
+  FreeSegmentLocked(os, base);
+}
+
+void DpmNode::FreeSegmentLocked(OwnerSegments& os, pm::PmPtr base) {
   DirectoryRemove(base);
   alloc_->Free(base);
   os.segments.erase(base);
@@ -548,6 +612,225 @@ void DpmNode::MaybeGcOwnerLocked(OwnerSegments& os, pm::PmPtr base,
     seg_index_.erase(base);
   }
   segments_gced_.Inc();
+}
+
+// ----- Log cleaning --------------------------------------------------------
+
+bool DpmNode::ClaimVictim(Victim* v, bool* more) {
+  // LFS cost-benefit: benefit/cost = (1 - u) * age / (1 + u), with u the
+  // live fraction and age in segments sealed since (deterministic, so the
+  // virtual-time sim replays the same choices). Ties go to the lowest base.
+  const uint64_t now = seal_clock_.load(std::memory_order_relaxed);
+  Victim best;
+  double best_score = -1.0;
+  int candidates = 0;
+  seg_shards_.ForEachShard([&](const OwnerSegmentMap& m) {
+    for (const auto& [owner, os] : m) {
+      for (const auto& [base, info] : os.segments) {
+        if (!Cleanable(info)) continue;
+        candidates++;
+        const double u = 1.0 - static_cast<double>(info.puts_invalid) /
+                                   static_cast<double>(info.puts_total);
+        const double age = static_cast<double>(now - info.sealed_at) + 1.0;
+        const double score = (1.0 - u) * age / (1.0 + u);
+        if (score > best_score || (score == best_score && base < best.base)) {
+          best_score = score;
+          best = Victim{base, owner, info.gen, 0};
+        }
+      }
+    }
+  });
+  *more = candidates > 1;
+  if (candidates == 0) return false;
+  return seg_shards_.WithShard(best.owner, [&](OwnerSegmentMap& m) {
+    auto oit = m.find(best.owner);
+    if (oit == m.end()) return false;
+    auto sit = oit->second.segments.find(best.base);
+    if (sit == oit->second.segments.end() || sit->second.gen != best.gen ||
+        !Cleanable(sit->second)) {
+      *more = true;  // it changed under us; look again next pass
+      return false;
+    }
+    sit->second.cleaning = true;
+    best.used_bytes = sit->second.used_bytes;
+    *v = best;
+    return true;
+  });
+}
+
+bool DpmNode::Referenced(uint64_t key_hash, uint64_t okey,
+                         ValuePtr packed) const {
+  const pm::PmPtr slot = SharedSlot(key_hash);
+  if (slot != pm::kNullPmPtr) {
+    const pm::PmPool& ro = *pool_;
+    auto* word =
+        reinterpret_cast<uint64_t*>(const_cast<char*>(ro.Translate(slot)));
+    if (std::atomic_ref<uint64_t>(*word).load(std::memory_order_acquire) ==
+        packed.raw()) {
+      return true;
+    }
+  } else if (index_->Lookup(key_hash) == packed.raw()) {
+    return true;
+  }
+  // The skiplist can lag the CLHT for a moment (a merge between its two
+  // upserts, a crash between a relocation's two swaps): check it too.
+  return ordered_->Lookup(okey) == packed.raw();
+}
+
+uint64_t DpmNode::PublishMoves() {
+  if (clean_staged_.empty()) return 0;
+  // 1. The copies are durable before anything can point at them.
+  pool_->Persist(clean_dest_ + kSegmentHeaderSize + clean_dest_used_,
+                 clean_staged_bytes_);
+  clean_dest_used_ += clean_staged_bytes_;
+  clean_staged_bytes_ = 0;
+  // 2. Counted as puts of the cleaner segment, durably, before a merge
+  // can supersede one: GC must never see more superseded than written.
+  const uint64_t staged = clean_staged_.size();
+  seg_shards_.WithShard(kCleanerOwner, [&](OwnerSegmentMap& m) {
+    SegmentInfo& info = m[kCleanerOwner].segments.at(clean_dest_);
+    info.used_bytes = clean_dest_used_;
+    info.puts_total += staged;
+    pool_->Store(clean_dest_ + offsetof(SegmentPmHeader, used_bytes),
+                 info.used_bytes);
+    pool_->Store(clean_dest_ + offsetof(SegmentPmHeader, puts_total),
+                 info.puts_total);
+    pool_->Persist(clean_dest_, sizeof(SegmentPmHeader));
+  });
+  // 3. Publish each move where the old pointer is still current. The
+  // key's shared-slot stripe holds off InstallIndirect/RemoveIndirect; a
+  // merge that got there first keeps its newer value.
+  uint64_t won = 0;
+  for (const StagedMove& mv : clean_staged_) {
+    bool direct = false;  // the CLHT took it: KN caches may repoint
+    const bool placed =
+        shared_slots_.WithShard(mv.key_hash, [&](const auto& slots) {
+          bool any = false;
+          auto it = slots.find(mv.key_hash);
+          if (it != slots.end()) {
+            if (pool_->CompareExchange64(it->second, mv.from.raw(),
+                                         mv.to.raw())) {
+              pool_->PersistPublish(it->second, sizeof(uint64_t));
+              any = true;
+            }
+          } else {
+            direct = any =
+                index_->ReplaceIf(mv.key_hash, mv.from.raw(), mv.to.raw());
+          }
+          if (ordered_->ReplaceIf(mv.okey, mv.from.raw(), mv.to.raw())) {
+            any = true;
+          }
+          return any;
+        });
+    if (placed) won++;
+    if (direct) {
+      clean_notices_.push_back(
+          Relocation{mv.key_hash, mv.from.raw(), mv.to.raw()});
+    }
+  }
+  clean_staged_.clear();
+  clean_relocated_.Inc(won);
+  if (won < staged) {
+    // A copy no index took is dead on arrival.
+    clean_lost_.Inc(staged - won);
+    seg_shards_.WithShard(kCleanerOwner, [&](OwnerSegmentMap& m) {
+      m[kCleanerOwner].segments.at(clean_dest_).puts_invalid +=
+          staged - won;
+    });
+  }
+  return won;
+}
+
+Status DpmNode::RollCleanerSegment() {
+  if (clean_dest_ != pm::kNullPmPtr) {
+    seg_shards_.WithShard(kCleanerOwner, [&](OwnerSegmentMap& m) {
+      OwnerSegments& os = m[kCleanerOwner];
+      SegmentInfo* info = &os.segments.at(clean_dest_);
+      SealLocked(clean_dest_, info);
+      MaybeGcOwnerLocked(os, clean_dest_, info);  // may all be superseded
+    });
+    clean_dest_ = pm::kNullPmPtr;
+    clean_dest_used_ = 0;
+  }
+  // Born merged through its whole capacity: recovery never replays it,
+  // so a copy can never be re-applied over a newer merge.
+  auto seg = NewSegment(kCleanerOwner,
+                        options_.segment_size - kSegmentHeaderSize);
+  if (!seg.ok()) return seg.status();
+  clean_dest_ = seg.value();
+  return Status::Ok();
+}
+
+double DpmNode::CleanPass() {
+  if (options_.partitioned_metadata) return 0.0;
+  Victim v;
+  bool more = false;
+  if (!ClaimVictim(&v, &more)) {
+    if (more) clean_wanted_.store(true, std::memory_order_release);
+    return 0.0;
+  }
+  const MergeProfile& profile = merge_->profile();
+  const size_t capacity = options_.segment_size - kSegmentHeaderSize;
+  const pm::PmPool& ro = *pool_;
+  // The merge verified every entry's CRC, and the copies keep them: walk
+  // the victim's structure only.
+  LogIterator it(ro.Translate(v.base + kSegmentHeaderSize), v.used_bytes,
+                 /*verify_crc=*/false);
+  LogRecord rec;
+  size_t prev = 0;
+  uint64_t moved = 0;  // victim entries an index now finds elsewhere
+  Status st;
+  double cpu_us = 0.0;
+  while (st.ok() && it.Next(&rec)) {
+    const pm::PmPtr from = v.base + kSegmentHeaderSize + prev;
+    const size_t size = it.offset() - prev;
+    prev = it.offset();
+    cpu_us += profile.per_entry_us;  // the liveness lookups
+    // A tombstone in a merged segment is never replayed: drop it.
+    if (rec.op != LogOp::kPut) continue;
+    const uint64_t okey =
+        index::PmSkipList::OrderedKey(rec.key.data(), rec.key.size());
+    const ValuePtr packed = ValuePtr::Pack(from, static_cast<uint32_t>(size));
+    if (!Referenced(rec.key_hash, okey, packed)) continue;
+    if (clean_dest_ == pm::kNullPmPtr ||
+        clean_dest_used_ + clean_staged_bytes_ + size > capacity) {
+      moved += PublishMoves();
+      st = RollCleanerSegment();
+      if (!st.ok()) break;
+    }
+    // Verbatim copy: an encoded entry names no address, so its CRC and
+    // commit marker stay valid at the new home.
+    const pm::PmPtr to =
+        clean_dest_ + kSegmentHeaderSize + clean_dest_used_ +
+        clean_staged_bytes_;
+    pool_->StoreBytes(to, ro.Translate(from), size);
+    clean_staged_.push_back(StagedMove{
+        rec.key_hash, okey, packed,
+        ValuePtr::Pack(to, static_cast<uint32_t>(size))});
+    clean_staged_bytes_ += size;
+    cpu_us += profile.per_entry_us +
+              static_cast<double>(size) * profile.per_byte_us;
+  }
+  moved += PublishMoves();
+  if (st.ok()) st = it.status();
+
+  // Free the victim only now that every move is durable. A pass cut
+  // short (no room for a cleaner segment, an undecodable entry) hands the
+  // victim back with what it moved counted as superseded.
+  seg_shards_.WithShard(v.owner, [&](OwnerSegmentMap& m) {
+    OwnerSegments& os = m.at(v.owner);
+    SegmentInfo* info = &os.segments.at(v.base);
+    if (st.ok()) {
+      FreeSegmentLocked(os, v.base);
+      clean_victims_.Inc();
+      return;
+    }
+    info->cleaning = false;
+    info->puts_invalid += moved;
+    MaybeGcOwnerLocked(os, v.base, info);
+  });
+  if (st.ok() && more) clean_wanted_.store(true, std::memory_order_release);
+  return cpu_us;
 }
 
 Status DpmNode::DirectoryAdd(pm::PmPtr base, uint64_t owner) {
@@ -659,10 +942,7 @@ void DpmNode::ReleaseOwnerSegments(uint64_t owner) {
     for (auto it = segs.begin(); it != segs.end();) {
       auto cur = it++;
       if (cur->second.state == SegmentState::kActive) {
-        cur->second.state = SegmentState::kSealed;
-        pool_->Store(cur->first + offsetof(SegmentPmHeader, state),
-                     static_cast<uint64_t>(SegmentState::kSealed));
-        pool_->Persist(cur->first, sizeof(SegmentPmHeader));
+        SealLocked(cur->first, &cur->second);
       }
       MaybeGcOwnerLocked(oit->second, cur->first, &cur->second);  // may erase
     }
@@ -673,6 +953,9 @@ DpmStats DpmNode::Stats() const {
   DpmStats stats;
   stats.segments_allocated = segments_allocated_.value();
   stats.segments_gced = segments_gced_.value();
+  stats.clean_victims = clean_victims_.value();
+  stats.clean_relocated = clean_relocated_.value();
+  stats.clean_lost = clean_lost_.value();
   uint64_t live = 0;
   seg_shards_.ForEachShard([&](const OwnerSegmentMap& m) {
     for (const auto& [owner, os] : m) live += os.segments.size();

@@ -7,6 +7,8 @@
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -56,8 +58,11 @@ enum class SegmentState : uint64_t {
 /// Statistics snapshot of the DPM node.
 struct DpmStats {
   uint64_t segments_allocated = 0;
-  uint64_t segments_gced = 0;
+  uint64_t segments_gced = 0;  // cleaned victims included
   uint64_t live_segments = 0;
+  uint64_t clean_victims = 0;    // segments freed by the log cleaner
+  uint64_t clean_relocated = 0;  // live entries it moved
+  uint64_t clean_lost = 0;       // copies a racing merge made moot
   uint64_t merged_batches = 0;
   uint64_t merged_entries = 0;
   uint64_t index_count = 0;
@@ -194,6 +199,32 @@ class DpmNode {
   void CompleteBatch(uint64_t owner, pm::PmPtr segment, pm::PmPtr data,
                      size_t bytes);
 
+  // ----- Log cleaning (DESIGN.md, "Log cleaning") -----
+
+  /// True (once) if a segment became worth cleaning since the last call.
+  /// MergeService::Finish asks after every task and queues a pass.
+  bool TakeCleanRequest() {
+    return clean_wanted_.exchange(false, std::memory_order_acq_rel);
+  }
+
+  /// One cleaning pass: picks the sealed, fully merged segment with the
+  /// best LFS cost-benefit among those at least 40% superseded, copies
+  /// its live entries verbatim into the cleaner's own segment (born
+  /// merged, so recovery never replays it), publishes each move with a
+  /// conditional swap on the CLHT slot (or the indirect slot of a shared
+  /// key) and the skiplist node, and frees the victim once every move is
+  /// durable. Returns the DPM CPU time charged, us (0 with nothing to
+  /// do). Runs as a kCleanerOwner MergeService task, so passes never
+  /// overlap (tests call it directly, with no merge thread running);
+  /// does nothing in DINOMO-N (partitioned) mode.
+  double CleanPass();
+
+  /// The CLHT moves of the last pass, for MergeService::Finish to hand to
+  /// the relocation callback.
+  std::vector<Relocation> TakeRelocations() {
+    return std::exchange(clean_notices_, {});
+  }
+
   // ----- Failure handling / reconfiguration -----
 
   /// Synchronously merges all pending batches of `owner` (reconfiguration
@@ -235,6 +266,8 @@ class DpmNode {
     uint64_t puts_total = 0;   // PUT entries submitted
     uint64_t puts_invalid = 0; // PUT entries superseded
     int unmerged_batches = 0;
+    uint64_t sealed_at = 0;    // seal_clock_ when sealed (cleaner age)
+    bool cleaning = false;     // a cleaner pass owns it; GC keeps off
   };
 
   /// One owner's segments, kept whole inside a single stripe so per-owner
@@ -263,9 +296,42 @@ class DpmNode {
   /// segment being freed or its base reused concurrently.
   void NoteSuperseded(pm::PmPtr entry_ptr);
 
-  /// GC check; runs with the owner's stripe held.
+  /// GC check; runs with the owner's stripe held. Frees a sealed, merged
+  /// segment whose puts are all superseded; flags one at least 40%
+  /// superseded for the cleaner.
   void MaybeGcOwnerLocked(OwnerSegments& os, pm::PmPtr base,
                           SegmentInfo* info);
+
+  /// Frees a segment: directory slot, PM block, registry entries.
+  void FreeSegmentLocked(OwnerSegments& os, pm::PmPtr base);
+
+  /// Marks a segment sealed in DRAM and PM, stamping its cleaner age.
+  void SealLocked(pm::PmPtr base, SegmentInfo* info);
+
+  /// Allocates, persists, lists and registers a fresh segment of `owner`.
+  /// `merged_bytes` is the header's merged prefix: 0 for a KN log, the
+  /// whole capacity for a cleaner segment (nothing in it is ever replayed).
+  Result<pm::PmPtr> NewSegment(uint64_t owner, size_t merged_bytes);
+
+  /// Cleaner steps (see CleanPass). A victim is a sealed segment whose
+  /// live entries the pass relocates.
+  struct Victim {
+    pm::PmPtr base = pm::kNullPmPtr;
+    uint64_t owner = 0;
+    uint64_t gen = 0;
+    size_t used_bytes = 0;
+  };
+  /// Picks and claims (marks `cleaning`) the best victim; `*more` says
+  /// whether another candidate is left for the next pass.
+  bool ClaimVictim(Victim* v, bool* more);
+  /// True if the CLHT (or the key's indirect slot) or the skiplist still
+  /// points at `packed`.
+  bool Referenced(uint64_t key_hash, uint64_t okey, ValuePtr packed) const;
+  /// Persists the copies staged in the cleaner segment and publishes each
+  /// one; returns how many moves won at least one index.
+  uint64_t PublishMoves();
+  /// Seals the full cleaner segment (if any) and opens a fresh one.
+  Status RollCleanerSegment();
 
   /// The RPC-rejection check every two-sided entry point runs first.
   Status RpcFault(int kn_node) {
@@ -281,6 +347,9 @@ class DpmNode {
   obs::Counter& log_batches_;
   obs::Counter& log_bytes_;
   obs::Counter& log_puts_;
+  obs::Counter& clean_victims_;     // dpm.clean.victims
+  obs::Counter& clean_relocated_;   // dpm.clean.relocated
+  obs::Counter& clean_lost_;        // dpm.clean.lost (a merge won)
   std::unique_ptr<pm::PmPool> pool_;
   std::unique_ptr<pm::PmAllocator> alloc_;
   std::unique_ptr<net::Fabric> fabric_;
@@ -298,6 +367,25 @@ class DpmNode {
   mutable SharedMutex seg_index_mu_;
   std::map<pm::PmPtr, SegRef> seg_index_ GUARDED_BY(seg_index_mu_);
   std::atomic<uint64_t> seg_gen_{0};
+  // Segments sealed so far: the cleaner's deterministic age unit.
+  std::atomic<uint64_t> seal_clock_{0};
+  std::atomic<bool> clean_wanted_{false};
+
+  // The cleaner's open destination segment and the copies staged in it
+  // but not yet published. Only CleanPass touches these, and passes are
+  // serialized as one MergeService owner (kCleanerOwner), whose queue
+  // lock orders consecutive passes.
+  struct StagedMove {
+    uint64_t key_hash;
+    uint64_t okey;
+    ValuePtr from;
+    ValuePtr to;
+  };
+  pm::PmPtr clean_dest_ = pm::kNullPmPtr;
+  size_t clean_dest_used_ = 0;       // bytes published in clean_dest_
+  size_t clean_staged_bytes_ = 0;    // bytes copied after that
+  std::vector<StagedMove> clean_staged_;
+  std::vector<Relocation> clean_notices_;
 
   // Persistent segment directory + slot cache. Leaf lock: taken inside
   // stripe closures, never the other way around.

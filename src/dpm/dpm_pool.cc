@@ -1,5 +1,6 @@
 #include "dpm/dpm_pool.h"
 
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -31,6 +32,31 @@ DpmPoolOptions Sanitize(DpmPoolOptions o) {
     o.replication_factor = max_rf;
   }
   return o;
+}
+
+// Copies the entry `vp` names out of `node`'s pool and decodes it. The log
+// cleaner may have moved the entry, and freed and reused its old segment,
+// since `vp` was read: while the copy does not decode as `key_hash`'s,
+// follow the index to the entry's new home. NotFound once the key has no
+// direct entry (deleted, or shared).
+Status ReadLiveEntry(DpmNode* node, uint64_t key_hash, ValuePtr vp,
+                     std::string* buf, LogRecord* rec) {
+  constexpr int kAttempts = 4;
+  const pm::PmPool& ro = *node->pool();
+  for (int attempt = 0; attempt < kAttempts; ++attempt) {
+    if (vp.null() || vp.indirect()) return Status::NotFound("no entry");
+    if (!ro.Contains(vp.offset(), vp.entry_size())) {
+      return Status::Corruption("value pointer outside the pool");
+    }
+    buf->assign(ro.Translate(vp.offset()), vp.entry_size());
+    size_t consumed = 0;
+    if (DecodeEntry(buf->data(), buf->size(), rec, &consumed).ok() &&
+        rec->key_hash == key_hash) {
+      return Status::Ok();
+    }
+    vp = ValuePtr(static_cast<uint64_t>(node->index()->Lookup(key_hash)));
+  }
+  return Status::Corruption("entry kept moving");
 }
 
 }  // namespace
@@ -218,6 +244,12 @@ Result<DpmPool::RepairStats> DpmPool::ReReplicate() {
   for (int s_idx = 0; s_idx < num_nodes(); ++s_idx) {
     if (!alive(s_idx)) continue;
     DpmNode* src = nodes_[static_cast<size_t>(s_idx)];
+    // ForEach is quiescent-only: first finish the repair batches already
+    // sent to this node (by an earlier source, or by a failed attempt the
+    // caller is retrying) and the cleaner passes their merges asked for.
+    Status quiet = src->DrainOwner(kRepairOwner);
+    if (quiet.ok()) quiet = src->DrainOwner(kCleanerOwner);
+    if (!quiet.ok()) return quiet;
     // Snapshot first: ForEach is quiescent-only and the repair appends
     // below mutate the destination indexes, not this one — but keeping
     // the walk free of RPCs keeps the contract obvious.
@@ -225,7 +257,6 @@ Result<DpmPool::RepairStats> DpmPool::ReReplicate() {
     src->index()->ForEach([&](uint64_t kh, pm::PmPtr vp) {
       items.emplace_back(kh, static_cast<uint64_t>(vp));
     });
-    const pm::PmPool& src_ro = *src->pool();
     for (const auto& [kh, raw] : items) {
       stats.keys_examined++;
       const ValuePtr vp(raw);
@@ -234,24 +265,20 @@ Result<DpmPool::RepairStats> DpmPool::ReReplicate() {
       if (pl.primary != s_idx || pl.mirror < 0) continue;
       DpmNode* dst = nodes_[static_cast<size_t>(pl.mirror)];
 
+      std::string entry;
       LogRecord rec;
-      size_t consumed = 0;
-      Status dec = DecodeEntry(src_ro.Translate(vp.offset()), vp.entry_size(),
-                               &rec, &consumed);
-      if (!dec.ok()) return dec;  // primary entries are always committed
+      Status dec = ReadLiveEntry(src, kh, vp, &entry, &rec);
+      if (dec.IsNotFound()) continue;  // deleted or shared since the walk
+      if (!dec.ok()) return dec;
 
       // Skip keys the mirror already carries at the same value (the
       // common case: only ranges whose mirror changed need copies).
+      std::string mentry;
+      LogRecord mrec;
       const ValuePtr mvp(static_cast<uint64_t>(dst->index()->Lookup(kh)));
-      if (!mvp.null() && !mvp.indirect()) {
-        LogRecord mrec;
-        size_t mconsumed = 0;
-        const pm::PmPool& dst_ro = *dst->pool();
-        Status mdec = DecodeEntry(dst_ro.Translate(mvp.offset()),
-                                  mvp.entry_size(), &mrec, &mconsumed);
-        if (mdec.ok() && mrec.op == rec.op && mrec.value == rec.value) {
-          continue;
-        }
+      if (ReadLiveEntry(dst, kh, mvp, &mentry, &mrec).ok() &&
+          mrec.op == rec.op && mrec.value == rec.value) {
+        continue;
       }
 
       MirrorBatch& mb = pending[pl.mirror];

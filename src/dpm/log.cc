@@ -1,5 +1,6 @@
 #include "dpm/log.h"
 
+#include <cstddef>
 #include <cstring>
 
 #include "common/hash.h"
@@ -76,8 +77,8 @@ size_t EncodeEntry(char* buf, LogOp op, uint64_t seq, uint64_t key_hash,
   return total;
 }
 
-Status DecodeEntry(const char* buf, size_t avail, LogRecord* rec,
-                   size_t* consumed) {
+Status ParseEntry(const char* buf, size_t avail, LogRecord* rec,
+                  size_t* consumed) {
   if (avail < sizeof(EntryHeader)) {
     // A short all-zero tail is a clean end of log; anything else is torn.
     for (size_t i = 0; i < avail; ++i) {
@@ -102,23 +103,29 @@ Status DecodeEntry(const char* buf, size_t avail, LogRecord* rec,
   if (buf[hdr.entry_size - 1] != kCommitMarker) {
     return Status::Corruption("missing commit marker");
   }
-  const char* payload = buf + sizeof(EntryHeader);
-  uint32_t crc = Crc32c(payload, hdr.key_len + hdr.value_len);
-  crc ^= static_cast<uint32_t>(Mix64(hdr.seq ^ hdr.key_hash ^ hdr.op));
-  if (crc != hdr.crc) {
-    return Status::Corruption("entry CRC mismatch");
-  }
   if (hdr.op != static_cast<uint8_t>(LogOp::kPut) &&
       hdr.op != static_cast<uint8_t>(LogOp::kDelete)) {
     return Status::Corruption("unknown log op");
   }
-
+  const char* payload = buf + sizeof(EntryHeader);
   rec->op = static_cast<LogOp>(hdr.op);
   rec->seq = hdr.seq;
   rec->key_hash = hdr.key_hash;
   rec->key = Slice(payload, hdr.key_len);
   rec->value = Slice(payload + hdr.key_len, hdr.value_len);
   *consumed = hdr.entry_size;
+  return Status::Ok();
+}
+
+Status DecodeEntry(const char* buf, size_t avail, LogRecord* rec,
+                   size_t* consumed) {
+  DINOMO_RETURN_IF_ERROR(ParseEntry(buf, avail, rec, consumed));
+  uint32_t stored = 0;
+  std::memcpy(&stored, buf + offsetof(EntryHeader, crc), sizeof(stored));
+  uint32_t crc = Crc32c(rec->key.data(), rec->key.size() + rec->value.size());
+  crc ^= static_cast<uint32_t>(
+      Mix64(rec->seq ^ rec->key_hash ^ static_cast<uint8_t>(rec->op)));
+  if (crc != stored) return Status::Corruption("entry CRC mismatch");
   return Status::Ok();
 }
 
@@ -177,7 +184,9 @@ void LogBuilder::Clear() {
 bool LogIterator::Next(LogRecord* rec) {
   if (off_ >= len_) return false;
   size_t consumed = 0;
-  Status st = DecodeEntry(data_ + off_, len_ - off_, rec, &consumed);
+  Status st = verify_crc_
+                  ? DecodeEntry(data_ + off_, len_ - off_, rec, &consumed)
+                  : ParseEntry(data_ + off_, len_ - off_, rec, &consumed);
   if (st.IsNotFound()) return false;  // clean zeroed tail
   if (!st.ok()) {
     status_ = st;

@@ -84,6 +84,14 @@ size_t EncodeEntry(char* buf, LogOp op, uint64_t seq, uint64_t key_hash,
 Status DecodeEntry(const char* buf, size_t avail, LogRecord* rec,
                    size_t* consumed);
 
+/// DecodeEntry's structural checks alone (sizes, lengths, commit marker,
+/// op) without the payload CRC. Only for bytes a merge already decoded
+/// in full and nothing has written since: the log cleaner's walk over a
+/// sealed, merged segment, which copies entries verbatim, so every reader
+/// still checks the CRC at the copy.
+Status ParseEntry(const char* buf, size_t avail, LogRecord* rec,
+                  size_t* consumed);
+
 /// Appends an encoded batch (LogBuilder output) into PM at `dst` with the
 /// two-phase persist discipline: every byte except the final commit marker
 /// is stored and persisted first; only then is the marker stored and
@@ -127,7 +135,9 @@ class LogBuilder {
 /// entry, which is how recovery finds the committed prefix.
 class LogIterator {
  public:
-  LogIterator(const char* data, size_t len) : data_(data), len_(len) {}
+  /// `verify_crc` false walks with ParseEntry (see there for when).
+  LogIterator(const char* data, size_t len, bool verify_crc = true)
+      : data_(data), len_(len), verify_crc_(verify_crc) {}
 
   /// Advances to the next valid entry. Returns false at end-of-log or at
   /// the first torn entry (check `status()` to distinguish).
@@ -140,6 +150,7 @@ class LogIterator {
  private:
   const char* data_;
   size_t len_;
+  bool verify_crc_;
   size_t off_ = 0;
   Status status_;
 };

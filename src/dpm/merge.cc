@@ -92,14 +92,18 @@ void MergeService::UpdateDepthLocked() {
   }
 }
 
+void MergeService::PushLocked(const MergeTask& task) {
+  OwnerQueue& q = queues_[task.owner];
+  if (!q.busy && q.tasks.empty()) MarkRunnableLocked(task.owner);
+  q.tasks.push_back(task);
+  queued_total_++;
+  UpdateDepthLocked();
+}
+
 void MergeService::Enqueue(const MergeTask& task) {
   {
     MutexLock lock(mu_);
-    OwnerQueue& q = queues_[task.owner];
-    if (!q.busy && q.tasks.empty()) MarkRunnableLocked(task.owner);
-    q.tasks.push_back(task);
-    queued_total_++;
-    UpdateDepthLocked();
+    PushLocked(task);
   }
   work_cv_.NotifyOne();
 }
@@ -110,6 +114,7 @@ bool MergeService::TryDequeue(MergeTask* task) {
 }
 
 double MergeService::Execute(const MergeTask& task) {
+  if (task.owner == kCleanerOwner) return dpm_->CleanPass();
   const pm::PmPool* pool = dpm_->pool();
   const char* data = pool->Translate(task.data);
   LogIterator it(data, task.bytes);
@@ -139,8 +144,17 @@ double MergeService::Execute(const MergeTask& task) {
 }
 
 void MergeService::Finish(const MergeTask& task) {
-  dpm_->CompleteBatch(task.owner, task.segment, task.data, task.bytes);
+  const bool cleaner = task.owner == kCleanerOwner;
+  // A pass's moves are taken while its owner is still busy: the next pass
+  // cannot start (and append more) before the busy flag clears below.
+  std::vector<Relocation> moved;
+  if (cleaner) {
+    moved = dpm_->TakeRelocations();
+  } else {
+    dpm_->CompleteBatch(task.owner, task.segment, task.data, task.bytes);
+  }
   std::function<void(const MergeAck&)> cb;
+  std::function<void(int, const std::vector<Relocation>&)> relocated_cb;
   {
     MutexLock lock(mu_);
     auto it = queues_.find(task.owner);
@@ -149,12 +163,26 @@ void MergeService::Finish(const MergeTask& task) {
     if (!it->second.tasks.empty()) MarkRunnableLocked(task.owner);
     queued_total_--;
     finish_events_++;
+    // At most one cleaner pass waits in the queue; a pass still running
+    // re-requests if it leaves candidates behind.
+    if (dpm_->TakeCleanRequest() && queues_[kCleanerOwner].tasks.empty()) {
+      MergeTask pass;
+      pass.owner = kCleanerOwner;
+      PushLocked(pass);
+    }
     UpdateDepthLocked();
-    cb = merge_cb_;
+    if (cleaner) {
+      relocated_cb = relocation_cb_;
+    } else {
+      cb = merge_cb_;
+    }
   }
-  merged_batches_.Inc();
+  if (!cleaner) merged_batches_.Inc();
   work_cv_.NotifyOne();
   drain_cv_.NotifyAll();
+  if (relocated_cb && !moved.empty()) {
+    relocated_cb(dpm_->options().node_id, moved);
+  }
   if (cb) {
     cb(MergeAck{task.owner, task.segment, task.data, task.bytes,
                 dpm_->options().node_id});
@@ -209,7 +237,8 @@ Status MergeService::DrainAll() {
   for (uint64_t owner : owners) {
     DINOMO_RETURN_IF_ERROR(DrainOwner(owner));
   }
-  return Status::Ok();
+  // Merges drained after the cleaner's turn may have queued a pass.
+  return DrainOwner(kCleanerOwner);
 }
 
 uint64_t MergeService::PendingBatches(uint64_t owner) const {
@@ -227,6 +256,12 @@ uint64_t MergeService::TotalPendingBatches() const {
 void MergeService::SetMergeCallback(std::function<void(const MergeAck&)> cb) {
   MutexLock lock(mu_);
   merge_cb_ = std::move(cb);
+}
+
+void MergeService::SetRelocationCallback(
+    std::function<void(int, const std::vector<Relocation>&)> cb) {
+  MutexLock lock(mu_);
+  relocation_cb_ = std::move(cb);
 }
 
 void MergeService::StartThreads(int n) {

@@ -40,6 +40,12 @@ struct MergeProfile {
   static MergeProfile OptanePm() { return MergeProfile{0.84, 0.00026}; }
 };
 
+/// Log-owner id of the DPM's own log cleaner (DpmNode::CleanPass). A task
+/// of this owner carries no batch: executing it runs one cleaning pass.
+/// KN owners are (kn_id << 8) | worker with kn_id >= 1, and the pool's
+/// repair owner is 0x52, so no log owner collides with it.
+inline constexpr uint64_t kCleanerOwner = 0x43;  // 'C'
+
 /// One contiguous batch of log entries awaiting merge.
 struct MergeTask {
   uint64_t owner = 0;       // KN that wrote the batch
@@ -66,6 +72,15 @@ struct MergeAck {
   int node = 0;
 };
 
+/// One live entry the log cleaner moved (DpmNode::CleanPass): the bytes
+/// at `to` are a verbatim copy of those at `from`, both packed ValuePtrs.
+/// A KN cache that still holds `from` for the key can simply repoint.
+struct Relocation {
+  uint64_t key_hash = 0;
+  uint64_t from = 0;
+  uint64_t to = 0;
+};
+
 /// Asynchronous merge service run by the DPM processors (§3.2/§3.6):
 /// consumes sealed log batches and applies them, in per-owner order, to
 /// the metadata index. Batches of *different* owners merge concurrently;
@@ -78,6 +93,11 @@ struct MergeAck {
 /// their own slot (owner % num_workers) and steal the oldest runnable
 /// owner when their slot is empty — cross-owner work stealing keeps all
 /// DPM processors busy under skew without breaking per-owner order.
+///
+/// The log cleaner rides the same queues as owner kCleanerOwner: when a
+/// finished merge leaves a segment worth cleaning (DpmNode::
+/// TakeCleanRequest), Finish queues one cleaner pass, which competes with
+/// merges for the DPM processors like any owner's batch.
 ///
 /// Two drive modes:
 ///  * real-thread: StartThreads(n) spawns n DPM worker threads;
@@ -106,8 +126,9 @@ class MergeService {
   /// Returns false if no owner currently has runnable work.
   bool TryDequeue(MergeTask* task) EXCLUDES(mu_);
 
-  /// Applies the task to the index. Returns the DPM CPU time consumed
-  /// under the current profile. Must be followed by Finish(task).
+  /// Applies the task to the index (or, for kCleanerOwner, runs one
+  /// cleaning pass). Returns the DPM CPU time consumed under the current
+  /// profile. Must be followed by Finish(task).
   double Execute(const MergeTask& task);
 
   /// Marks the task's owner runnable again and fires merge callbacks.
@@ -122,7 +143,8 @@ class MergeService {
   /// in logs for these KNs") and by failure handling.
   Status DrainOwner(uint64_t owner) EXCLUDES(mu_);
 
-  /// Synchronously merges everything queued for all owners.
+  /// Synchronously merges everything queued for all owners, then runs
+  /// the cleaner passes those merges asked for.
   Status DrainAll() EXCLUDES(mu_);
 
   /// Number of batches queued (or in flight) for one owner.
@@ -134,6 +156,15 @@ class MergeService {
   /// evict its cached copy by base match; the virtual-time engine also
   /// uses it to wake blocked writers.
   void SetMergeCallback(std::function<void(const MergeAck&)> cb) EXCLUDES(mu_);
+
+  /// Registered callback fired after each cleaner pass with the entries
+  /// it moved through the CLHT (never a shared key's slot) and the
+  /// node's DpmOptions::node_id; the runtimes route each to the KN worker
+  /// that owns the key, which repoints its caches. Without it, KNs find
+  /// the moves by validation (a stale pointer fails its decode check).
+  void SetRelocationCallback(
+      std::function<void(int node, const std::vector<Relocation>&)> cb)
+      EXCLUDES(mu_);
 
   /// Records a standalone merge_exec trace span per executed batch into
   /// `tracer` (nullptr = off). Non-owning; installed by the runtime at
@@ -172,6 +203,9 @@ class MergeService {
   /// overall. Returns false when runnable_ is empty.
   bool PickRunnableLocked(int worker_idx, MergeTask* task) REQUIRES(mu_);
   void UpdateDepthLocked() REQUIRES(mu_);
+  /// Appends `task` to its owner's queue, listing the owner if it became
+  /// runnable.
+  void PushLocked(const MergeTask& task) REQUIRES(mu_);
 
   void WorkerLoop(int worker_idx);
 
@@ -193,6 +227,8 @@ class MergeService {
   bool stopping_ GUARDED_BY(mu_) = false;
 
   std::function<void(const MergeAck&)> merge_cb_ GUARDED_BY(mu_);
+  std::function<void(int, const std::vector<Relocation>&)> relocation_cb_
+      GUARDED_BY(mu_);
   std::atomic<obs::Tracer*> tracer_{nullptr};
   std::vector<std::thread> workers_;
 

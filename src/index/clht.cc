@@ -244,6 +244,38 @@ Result<pm::PmPtr> Clht::Remove(uint64_t key) {
   }
 }
 
+bool Clht::ReplaceIf(uint64_t key, pm::PmPtr expected, pm::PmPtr desired) {
+  DINOMO_CHECK(key != 0);
+  DINOMO_CHECK(desired != pm::kNullPmPtr);
+  while (true) {
+    const TableView view = CurrentView();
+    const uint64_t idx = Mix64(key) & (view.num_buckets - 1);
+    Bucket* head = BucketAt(view.buckets, idx);
+    LockBucket(head);
+    if (CurrentView().epoch != view.epoch) {
+      UnlockBucket(head);
+      continue;
+    }
+    for (Bucket* b = head;;) {
+      for (int s = 0; s < kSlotsPerBucket; ++s) {
+        if (b->keys[s] != key) continue;
+        const bool match = b->vals[s] == expected;
+        if (match) {
+          // The caller persisted what `desired` points at: publication.
+          pool_->StoreRelease64(pool_->OffsetOf(&b->vals[s]), desired);
+          pool_->PersistPublishAddr(b, sizeof(Bucket));
+        }
+        UnlockBucket(head);
+        return match;
+      }
+      if (b->next == pm::kNullPmPtr) break;
+      b = reinterpret_cast<Bucket*>(pool_->Translate(b->next));
+    }
+    UnlockBucket(head);
+    return false;
+  }
+}
+
 pm::PmPtr Clht::Lookup(uint64_t key) const {
   DINOMO_CHECK(key != 0);
   while (true) {

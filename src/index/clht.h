@@ -97,6 +97,13 @@ class Clht : public KvIndex {
   /// Lock-free local lookup. Returns kNullPmPtr if absent.
   pm::PmPtr Lookup(uint64_t key) const override;
 
+  /// Sets key -> desired only if the key currently maps to `expected`,
+  /// and persists the slot; returns whether it did. Serializes with
+  /// Upsert/Remove on the bucket lock, so a concurrent merge either lands
+  /// first (and this fails) or supersedes `desired` afterwards. The log
+  /// cleaner publishes a relocated entry this way.
+  bool ReplaceIf(uint64_t key, pm::PmPtr expected, pm::PmPtr desired);
+
   /// Approximate number of live entries.
   uint64_t Count() const override;
   /// Current bucket-array size.

@@ -199,6 +199,23 @@ Result<pm::PmPtr> PmSkipList::Remove(uint64_t okey) {
   return old;
 }
 
+bool PmSkipList::ReplaceIf(uint64_t okey, pm::PmPtr expected,
+                           pm::PmPtr desired) {
+  DINOMO_CHECK(expected != pm::kNullPmPtr && desired != pm::kNullPmPtr);
+  SpinLockHolder guard(write_mu_);
+  pm::PmPtr preds[kMaxHeight];
+  FindPreds(okey, preds);
+  const pm::PmPtr candidate = LoadNext(preds[0], 0);
+  if (candidate == pm::kNullPmPtr || NodeAt(candidate)->okey != okey) {
+    return false;
+  }
+  NodeHeader* n = NodeAt(candidate);
+  if (n->value != expected) return false;
+  pool_->StoreRelease64(pool_->OffsetOf(&n->value), desired);
+  pool_->PersistPublish(pool_->OffsetOf(&n->value), sizeof(uint64_t));
+  return true;
+}
+
 pm::PmPtr PmSkipList::Lookup(uint64_t okey) const {
   pm::PmPtr preds[kMaxHeight];
   FindPreds(okey, preds);

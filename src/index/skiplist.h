@@ -87,6 +87,11 @@ class PmSkipList : public KvIndex {
   Result<pm::PmPtr> Upsert(uint64_t okey, pm::PmPtr value) override;
   Result<pm::PmPtr> Remove(uint64_t okey) override;
   pm::PmPtr Lookup(uint64_t okey) const override;
+  /// Sets okey's value to `desired` only if it currently is `expected`,
+  /// persisting it as a publication point; returns whether it did.
+  /// Serializes with the merge path's upserts on the writer lock, so a
+  /// racing merge wins (the log cleaner's relocation publish).
+  bool ReplaceIf(uint64_t okey, pm::PmPtr expected, pm::PmPtr desired);
   uint64_t Count() const override {
     return count_.load(std::memory_order_relaxed);
   }

@@ -52,6 +52,15 @@ void IndexCache::Invalidate(uint64_t key_hash) {
   invalidations_.Inc();
 }
 
+void IndexCache::Repoint(uint64_t key_hash, int node, uint64_t from,
+                         uint64_t to) {
+  Slot& s = SlotFor(key_hash);
+  if (s.key_hash == key_hash && s.node == static_cast<int32_t>(node) &&
+      s.vp_raw == from) {
+    s.vp_raw = to;
+  }
+}
+
 void IndexCache::NoteStale(uint64_t key_hash) {
   stats_.stale++;
   stale_.Inc();

@@ -60,6 +60,10 @@ class IndexCache {
   /// replication changes).
   void Invalidate(uint64_t key_hash);
 
+  /// The log cleaner moved the entry `key_hash`'s slot names on `node`
+  /// from `from` to `to`: repoint the slot if it still holds `from`.
+  void Repoint(uint64_t key_hash, int node, uint64_t from, uint64_t to);
+
   /// A hit's pointer failed fingerprint verification: count it and drop
   /// the slot so the next read goes straight to the traversal.
   void NoteStale(uint64_t key_hash);

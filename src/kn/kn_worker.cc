@@ -140,6 +140,27 @@ void KnWorker::RefreshIndexHandle() {
 
 void KnWorker::CheckPlacement() {
   if (pool_->generation() != placement_gen_) FailoverRecover();
+  if (!relocated_pending_.load(std::memory_order_acquire)) return;
+  std::vector<std::pair<int, dpm::Relocation>> moves;
+  {
+    MutexLock lock(batches_mu_);
+    moves.swap(relocated_);
+    relocated_pending_.store(false, std::memory_order_relaxed);
+  }
+  for (const auto& [n, mv] : moves) {
+    // Caches hold pointers into the key's primary only.
+    if (pool_->PlacementOf(mv.key_hash).primary != n) continue;
+    cache_->Repoint(mv.key_hash, dpm::ValuePtr(mv.from),
+                    dpm::ValuePtr(mv.to));
+    if (icache_ != nullptr) icache_->Repoint(mv.key_hash, n, mv.from, mv.to);
+  }
+}
+
+void KnWorker::OnEntriesRelocated(int node,
+                                  const std::vector<dpm::Relocation>& moves) {
+  MutexLock lock(batches_mu_);
+  for (const dpm::Relocation& mv : moves) relocated_.emplace_back(node, mv);
+  relocated_pending_.store(true, std::memory_order_release);
 }
 
 void KnWorker::FailoverRecover() {
@@ -1079,6 +1100,7 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
   // row, and rows this worker deleted but has not merged yet do not
   // count toward the window (the overlay erases them).
   struct Pending {
+    pm::PmPtr node;  // the row's skiplist node (never moved or freed)
     uint64_t key_hash;
     dpm::ValuePtr vp;
   };
@@ -1089,7 +1111,7 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
     PmSkipList::NodeImage* pi = nullptr;
     DINOMO_RETURN_IF_ERROR(read_node(p, &pi));
     if (pi->okey >= start_okey && !pi->tombstone()) {
-      pend.push_back(Pending{pi->key_hash, dpm::ValuePtr(pi->value)});
+      pend.push_back(Pending{p, pi->key_hash, dpm::ValuePtr(pi->value)});
       if (!std::binary_search(deleted_hashes.begin(), deleted_hashes.end(),
                               pi->key_hash)) {
         ++live;
@@ -1117,16 +1139,18 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
     todo[i] = i;
   }
   for (int attempt = 0; !todo.empty(); ++attempt) {
+    const bool last = attempt + 1 >= kReadRetries;
     net::Fabric::OpBatch batch(fabric, options_.fabric_node);
     for (size_t i : todo) {
       batch.AddRead(pend[i].vp.offset(), bufs[i].data(), bufs[i].size(),
                     &fates[i]);
     }
     const Status fault = batch.Execute();
-    std::vector<size_t> dropped;
+    std::vector<size_t> again;
     for (size_t i : todo) {
       if (IsTransient(fates[i])) {
-        dropped.push_back(i);
+        if (last) return fault;
+        again.push_back(i);
         continue;
       }
       if (!fates[i].ok()) return fates[i];
@@ -1134,20 +1158,30 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
       size_t consumed = 0;
       Status st =
           dpm::DecodeEntry(bufs[i].data(), bufs[i].size(), &rec, &consumed);
-      // A read that landed but does not decode was GC'd between the index
-      // walk and the value read, and a fingerprint mismatch means its
-      // segment was reused: the row is genuinely gone.
-      if (!st.ok() || rec.key_hash != pend[i].key_hash ||
-          rec.op != dpm::LogOp::kPut) {
+      if (st.ok() && rec.key_hash == pend[i].key_hash &&
+          rec.op == dpm::LogOp::kPut) {
+        // emplace: first writer wins, so a mirror's identical copy of a
+        // replicated row never duplicates (or clobbers) the primary's.
+        merged->emplace(std::string(rec.key.data(), rec.key.size()),
+                        std::string(rec.value.data(), rec.value.size()));
         continue;
       }
-      // emplace: first writer wins, so a mirror's identical copy of a
-      // replicated row never duplicates (or clobbers) the primary's.
-      merged->emplace(std::string(rec.key.data(), rec.key.size()),
-                      std::string(rec.value.data(), rec.value.size()));
+      // The value left that address after the walk read the node: a merge
+      // superseded it, or the log cleaner relocated it and its old segment
+      // was freed and reused. Only the node knows which, so re-read it: a
+      // tombstone is a deleted row, anything else names the row's value.
+      if (last) continue;
+      PmSkipList::NodeImage fresh;
+      DINOMO_RETURN_IF_ERROR(RetryTransient(kReadRetries, [&] {
+        return PmSkipList::ReadRemoteNode(fabric, options_.fabric_node,
+                                          pend[i].node, &fresh);
+      }));
+      if (fresh.tombstone()) continue;
+      pend[i].vp = dpm::ValuePtr(fresh.value);
+      bufs[i].resize(pend[i].vp.entry_size());
+      again.push_back(i);
     }
-    if (!dropped.empty() && attempt + 1 >= kReadRetries) return fault;
-    todo.swap(dropped);
+    todo.swap(again);
   }
   return Status::Ok();
 }
@@ -1378,6 +1412,20 @@ EpochLoad KnWorker::DrainEpochLoad() {
   out.hot_keys = std::move(top);
   access_counts_.clear();
   return out;
+}
+
+void DeliverRelocations(
+    const cluster::RoutingTable& table, int node,
+    const std::vector<dpm::Relocation>& moves,
+    const std::function<KnWorker*(uint64_t, int)>& worker_of) {
+  if (table.global_ring.empty()) return;
+  std::map<KnWorker*, std::vector<dpm::Relocation>> by_worker;
+  for (const dpm::Relocation& mv : moves) {
+    const uint64_t kn_id = table.PrimaryOwner(mv.key_hash);
+    KnWorker* w = worker_of(kn_id, table.ThreadFor(mv.key_hash, kn_id));
+    if (w != nullptr) by_worker[w].push_back(mv);
+  }
+  for (const auto& [w, group] : by_worker) w->OnEntriesRelocated(node, group);
 }
 
 }  // namespace kn

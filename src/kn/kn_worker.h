@@ -1,8 +1,10 @@
 #ifndef DINOMO_KN_KN_WORKER_H_
 #define DINOMO_KN_KN_WORKER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -172,8 +174,8 @@ inline uint64_t KeyHash(const Slice& key) {
 /// One KN worker thread's state and request execution logic. A worker is
 /// single-threaded by contract — the real-thread runtime gives it a
 /// dedicated thread, the virtual-time engine serializes events — except
-/// for OnOwnerBatchMerged, which the merge service may call concurrently
-/// (guarded internally).
+/// for OnOwnerBatchMerged and OnEntriesRelocated, which the merge service
+/// may call concurrently (guarded internally).
 ///
 /// The worker talks to a *pool* of DPM nodes: each key hash has a primary
 /// (and, with replication factor 2, a mirror) DPM node assigned by the
@@ -274,6 +276,13 @@ class KnWorker {
   /// ownership change no-ops. Thread-safe; may run concurrently with the
   /// worker thread.
   void OnOwnerBatchMerged(int node, pm::PmPtr batch_base)
+      EXCLUDES(batches_mu_);
+
+  /// The log cleaner on DPM node `node` moved these entries. Queued and
+  /// applied by the worker thread at its next request: caches still
+  /// pointing at a move's old home repoint to the copy. Thread-safe; may
+  /// run concurrently with the worker thread.
+  void OnEntriesRelocated(int node, const std::vector<dpm::Relocation>& moves)
       EXCLUDES(batches_mu_);
 
   /// Bases of the cached un-merged batches, oldest first. Test seam for
@@ -430,6 +439,10 @@ class KnWorker {
   // by whichever merge thread delivers the ack.
   mutable Mutex batches_mu_;
   std::deque<CachedBatch> unmerged_batches_ GUARDED_BY(batches_mu_);
+  // Cleaner moves not yet applied to the caches, as (node, move).
+  std::vector<std::pair<int, dpm::Relocation>> relocated_
+      GUARDED_BY(batches_mu_);
+  std::atomic<bool> relocated_pending_{false};
 
   // Statistics: the cumulative counts, plus this epoch's load (busy time
   // and key access counts, drained by DrainEpochLoad).
@@ -439,6 +452,14 @@ class KnWorker {
   std::unordered_map<uint64_t, uint64_t> access_counts_;
   static constexpr size_t kMaxTrackedKeys = 1 << 16;
 };
+
+/// Hands each move of a log-cleaner pass on DPM node `node` to the
+/// worker serving its key under `table` (KnWorker::OnEntriesRelocated).
+/// `worker_of(kn_id, thread)` returns nullptr for a KN that is gone.
+void DeliverRelocations(
+    const cluster::RoutingTable& table, int node,
+    const std::vector<dpm::Relocation>& moves,
+    const std::function<KnWorker*(uint64_t, int)>& worker_of);
 
 }  // namespace kn
 }  // namespace dinomo

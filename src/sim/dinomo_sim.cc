@@ -51,6 +51,19 @@ DinomoSim::DinomoSim(const DinomoSimOptions& options)
   for (int i = 0; i < pool_->num_nodes(); ++i) {
     pool_->node(i)->merge()->SetMergeCallback(
         [this](const dpm::MergeAck& ack) { OnMergeFinished(ack); });
+    pool_->node(i)->merge()->SetRelocationCallback(
+        [this](int node, const std::vector<dpm::Relocation>& moves) {
+          kn::DeliverRelocations(
+              *protocol_.routing()->Snapshot(), node, moves,
+              [this](uint64_t kn_id, int thread) -> kn::KnWorker* {
+                KnSim* k = FindKn(kn_id);
+                if (k == nullptr || k->failed ||
+                    thread >= static_cast<int>(k->workers.size())) {
+                  return nullptr;
+                }
+                return k->workers[thread]->worker.get();
+              });
+        });
     if (tracer_->enabled()) pool_->node(i)->merge()->SetTracer(tracer_);
   }
 

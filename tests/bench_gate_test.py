@@ -258,6 +258,9 @@ FAILING = {
     "storm_final_at_peak": ("storm_autoscaling", storm_final_at_peak),
     "storm_undelivered": ("storm_autoscaling",
                           storm_summary(delivered_ratio=0.9)),
+    "storm_no_segment_reclaimed": (
+        "storm_autoscaling",
+        lambda d: counters(d).update({"dpm.segments_gced": 0})),
 }
 # Failing chrome traces: name -> trace document (or raw text).
 FAILING_TRACES = {
