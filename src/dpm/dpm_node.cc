@@ -271,6 +271,9 @@ Status DpmNode::InitRecovered() {
                    static_cast<uint64_t>(SegmentState::kSealed));
       pool_->Persist(base, sizeof(SegmentPmHeader));
     }
+    // Its block came from the pre-crash allocator: adopt it, so a segment
+    // that dies after recovery is freed for reuse like any other.
+    alloc_->Adopt(base, options_.segment_size);
     RegisterSegment(base, info);
     {
       MutexLock lock(dir_mu_);
@@ -288,6 +291,7 @@ Status DpmNode::InitRecovered() {
     }
   }
   DINOMO_RETURN_IF_ERROR(merge_->DrainAll());
+  RecountLiveEntries();
   // Segments that were worth cleaning before the crash stay so: let the
   // first merge after recovery queue a pass.
   clean_wanted_.store(!options_.partitioned_metadata,
@@ -700,29 +704,27 @@ uint64_t DpmNode::PublishMoves() {
   // 3. Publish each move where the old pointer is still current. The
   // key's shared-slot stripe holds off InstallIndirect/RemoveIndirect; a
   // merge that got there first keeps its newer value.
-  uint64_t won = 0;
+  uint64_t won = 0;   // moves at least one index took
+  uint64_t sole = 0;  // of those, moves the CLHT or a slot took
   for (const StagedMove& mv : clean_staged_) {
     bool direct = false;  // the CLHT took it: KN caches may repoint
-    const bool placed =
-        shared_slots_.WithShard(mv.key_hash, [&](const auto& slots) {
-          bool any = false;
-          auto it = slots.find(mv.key_hash);
-          if (it != slots.end()) {
-            if (pool_->CompareExchange64(it->second, mv.from.raw(),
-                                         mv.to.raw())) {
-              pool_->PersistPublish(it->second, sizeof(uint64_t));
-              any = true;
-            }
-          } else {
-            direct = any =
-                index_->ReplaceIf(mv.key_hash, mv.from.raw(), mv.to.raw());
-          }
-          if (ordered_->ReplaceIf(mv.okey, mv.from.raw(), mv.to.raw())) {
-            any = true;
-          }
-          return any;
-        });
-    if (placed) won++;
+    bool slot = false;    // the key's indirect slot took it
+    bool listed = false;  // the skiplist took it
+    shared_slots_.WithShard(mv.key_hash, [&](const auto& slots) {
+      auto it = slots.find(mv.key_hash);
+      if (it != slots.end()) {
+        slot = pool_->CompareExchange64(it->second, mv.from.raw(),
+                                        mv.to.raw());
+        if (slot) pool_->PersistPublish(it->second, sizeof(uint64_t));
+      } else {
+        direct = index_->ReplaceIf(mv.key_hash, mv.from.raw(), mv.to.raw());
+      }
+      listed = ordered_->ReplaceIf(mv.okey, mv.from.raw(), mv.to.raw());
+    });
+    // A skiplist-only move means a merge already swapped the CLHT off the
+    // old entry: that merge charges it, so it is not counted here.
+    if (direct || slot) sole++;
+    if (direct || slot || listed) won++;
     if (direct) {
       clean_notices_.push_back(
           Relocation{mv.key_hash, mv.from.raw(), mv.to.raw()});
@@ -738,7 +740,7 @@ uint64_t DpmNode::PublishMoves() {
           staged - won;
     });
   }
-  return won;
+  return sole;
 }
 
 Status DpmNode::RollCleanerSegment() {
@@ -778,7 +780,7 @@ double DpmNode::CleanPass() {
                  /*verify_crc=*/false);
   LogRecord rec;
   size_t prev = 0;
-  uint64_t moved = 0;  // victim entries an index now finds elsewhere
+  uint64_t moved = 0;  // victim entries no merge will charge (PublishMoves)
   Status st;
   double cpu_us = 0.0;
   while (st.ok() && it.Next(&rec)) {
@@ -814,9 +816,13 @@ double DpmNode::CleanPass() {
   moved += PublishMoves();
   if (st.ok()) st = it.status();
 
-  // Free the victim only now that every move is durable. A pass cut
-  // short (no room for a cleaner segment, an undecodable entry) hands the
-  // victim back with what it moved counted as superseded.
+  // Free the victim only now that every move is durable, and once no
+  // merge that could still charge one of its entries is applying: after
+  // the wait, NoteSuperseded can no longer resolve a pointer into it (and
+  // so never into a segment that reuses its base). A pass cut short (no
+  // room for a cleaner segment, an undecodable entry) hands the victim
+  // back with the entries it moved for good counted as superseded.
+  if (st.ok()) merge_->WaitForExecutingMerges();
   seg_shards_.WithShard(v.owner, [&](OwnerSegmentMap& m) {
     OwnerSegments& os = m.at(v.owner);
     SegmentInfo* info = &os.segments.at(v.base);
@@ -831,6 +837,63 @@ double DpmNode::CleanPass() {
   });
   if (st.ok() && more) clean_wanted_.store(true, std::memory_order_release);
   return cpu_us;
+}
+
+void DpmNode::RecountLiveEntries() {
+  // A header's invalid count is persisted only with its segment's merge
+  // progress: a supersession after the last merged batch, and every one
+  // charged to a cleaner segment, lived in DRAM. Left as read, a segment
+  // that was mostly dead would look live for good. Recount each merged
+  // segment against the recovered indexes instead (an entry either index
+  // or a slot still names is live; the rest are dead).
+  struct Walk {
+    pm::PmPtr base;
+    SegRef ref;
+    size_t used_bytes;
+  };
+  std::vector<Walk> walks;
+  seg_shards_.ForEachShard([&](const OwnerSegmentMap& m) {
+    for (const auto& [owner, os] : m) {
+      for (const auto& [base, info] : os.segments) {
+        if (info.unmerged_batches == 0 && !info.cleaning) {
+          walks.push_back(
+              Walk{base, SegRef{owner, info.gen}, info.used_bytes});
+        }
+      }
+    }
+  });
+  const pm::PmPool& ro = *pool_;
+  for (const Walk& w : walks) {
+    LogIterator it(ro.Translate(w.base + kSegmentHeaderSize), w.used_bytes,
+                   /*verify_crc=*/false);
+    LogRecord rec;
+    size_t prev = 0;
+    uint64_t puts = 0;
+    uint64_t live = 0;
+    while (it.Next(&rec)) {
+      const pm::PmPtr at = w.base + kSegmentHeaderSize + prev;
+      const size_t size = it.offset() - prev;
+      prev = it.offset();
+      if (rec.op != LogOp::kPut) continue;
+      puts++;
+      const uint64_t okey =
+          index::PmSkipList::OrderedKey(rec.key.data(), rec.key.size());
+      if (Referenced(rec.key_hash, okey,
+                     ValuePtr::Pack(at, static_cast<uint32_t>(size)))) {
+        live++;
+      }
+    }
+    // A walk that stopped short keeps the header's (lower) count.
+    if (!it.status().ok() || it.offset() != w.used_bytes) continue;
+    seg_shards_.WithShard(w.ref.owner, [&](OwnerSegmentMap& m) {
+      OwnerSegments& os = m.at(w.ref.owner);
+      auto sit = os.segments.find(w.base);
+      if (sit == os.segments.end() || sit->second.gen != w.ref.gen) return;
+      sit->second.puts_total = puts;
+      sit->second.puts_invalid = puts - live;
+      MaybeGcOwnerLocked(os, w.base, &sit->second);  // may free it
+    });
+  }
 }
 
 Status DpmNode::DirectoryAdd(pm::PmPtr base, uint64_t owner) {

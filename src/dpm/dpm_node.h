@@ -194,6 +194,13 @@ class DpmNode {
   void ApplyRecord(uint64_t owner, const LogRecord& rec, pm::PmPtr entry_ptr,
                    uint32_t entry_size);
 
+  /// A merged PUT at `entry_ptr` was superseded: charge the containing
+  /// segment's invalid counter and GC it if fully dead. Safe against the
+  /// segment being freed or its base reused concurrently, provided the
+  /// caller took `entry_ptr` out of the index inside the
+  /// MergeService::ExecutingScope it charges from (see CleanPass).
+  void NoteSuperseded(pm::PmPtr entry_ptr);
+
   /// Records that the batch [data, data+bytes) of `segment` finished
   /// merging; persists merge progress and GC-frees the segment if done.
   void CompleteBatch(uint64_t owner, pm::PmPtr segment, pm::PmPtr data,
@@ -291,11 +298,6 @@ class DpmNode {
   /// Exact-base lookup in the base index (for RPC owner validation).
   bool LookupSegRef(pm::PmPtr base, SegRef* ref) const;
 
-  /// A merged PUT at `entry_ptr` was superseded: charge the containing
-  /// segment's invalid counter and GC it if fully dead. Safe against the
-  /// segment being freed or its base reused concurrently.
-  void NoteSuperseded(pm::PmPtr entry_ptr);
-
   /// GC check; runs with the owner's stripe held. Frees a sealed, merged
   /// segment whose puts are all superseded; flags one at least 40%
   /// superseded for the cleaner.
@@ -328,10 +330,14 @@ class DpmNode {
   /// points at `packed`.
   bool Referenced(uint64_t key_hash, uint64_t okey, ValuePtr packed) const;
   /// Persists the copies staged in the cleaner segment and publishes each
-  /// one; returns how many moves won at least one index.
+  /// one. Returns how many moves the CLHT or an indirect slot took: their
+  /// old entries are dead, and no merge will charge them to the victim.
   uint64_t PublishMoves();
   /// Seals the full cleaner segment (if any) and opens a fresh one.
   Status RollCleanerSegment();
+  /// Recovery: resets each merged segment's counts to what the recovered
+  /// indexes still reference (headers lag behind the DRAM counts).
+  void RecountLiveEntries();
 
   /// The RPC-rejection check every two-sided entry point runs first.
   Status RpcFault(int kn_node) {

@@ -113,8 +113,36 @@ bool MergeService::TryDequeue(MergeTask* task) {
   return PickRunnableLocked(-1, task);
 }
 
+MergeService::ExecutingScope::ExecutingScope(MergeService* merge)
+    : merge_(merge) {
+  MutexLock lock(merge_->mu_);
+  ticket_ = merge_->next_ticket_++;
+  merge_->executing_.push_back(ticket_);
+}
+
+MergeService::ExecutingScope::~ExecutingScope() {
+  {
+    MutexLock lock(merge_->mu_);
+    auto& open = merge_->executing_;
+    open.erase(std::find(open.begin(), open.end(), ticket_));
+  }
+  merge_->executing_cv_.NotifyAll();
+}
+
+void MergeService::WaitForExecutingMerges() {
+  MutexLock lock(mu_);
+  const uint64_t now = next_ticket_;
+  while (true) {
+    bool older = false;  // a scope opened before the call is still open
+    for (uint64_t ticket : executing_) older |= ticket < now;
+    if (!older) return;
+    executing_cv_.Wait(lock);
+  }
+}
+
 double MergeService::Execute(const MergeTask& task) {
   if (task.owner == kCleanerOwner) return dpm_->CleanPass();
+  ExecutingScope executing(this);
   const pm::PmPool* pool = dpm_->pool();
   const char* data = pool->Translate(task.data);
   LogIterator it(data, task.bytes);

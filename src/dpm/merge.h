@@ -147,6 +147,28 @@ class MergeService {
   /// the cleaner passes those merges asked for.
   Status DrainAll() EXCLUDES(mu_);
 
+  /// Marks a batch merge as executing for the scope's lifetime. Execute
+  /// holds one per batch, from the first index update to the last
+  /// supersession it charges (DpmNode::NoteSuperseded).
+  class ExecutingScope {
+   public:
+    explicit ExecutingScope(MergeService* merge);
+    ~ExecutingScope();
+    ExecutingScope(const ExecutingScope&) = delete;
+    ExecutingScope& operator=(const ExecutingScope&) = delete;
+
+   private:
+    MergeService* merge_;
+    uint64_t ticket_;
+  };
+
+  /// Returns once every ExecutingScope open at the call has closed.
+  /// CleanPass waits here before it frees a victim: a merge that took a
+  /// victim entry out of the CLHT has then charged it to the victim, and
+  /// a merge that starts later finds no victim entry in any index. (In
+  /// the virtual-time sim no Execute overlaps a pass: it returns at once.)
+  void WaitForExecutingMerges() EXCLUDES(mu_);
+
   /// Number of batches queued (or in flight) for one owner.
   uint64_t PendingBatches(uint64_t owner) const EXCLUDES(mu_);
   uint64_t TotalPendingBatches() const EXCLUDES(mu_);
@@ -223,6 +245,10 @@ class MergeService {
   // Monotonic count of completed batches; DrainOwner's wait predicate
   // ("some batch finished since I looked") keys off it.
   uint64_t finish_events_ GUARDED_BY(mu_) = 0;
+  // Start tickets of the open ExecutingScopes (at most one per thread).
+  std::vector<uint64_t> executing_ GUARDED_BY(mu_);
+  uint64_t next_ticket_ GUARDED_BY(mu_) = 0;
+  CondVar executing_cv_;
   int num_workers_ GUARDED_BY(mu_) = 0;
   bool stopping_ GUARDED_BY(mu_) = false;
 

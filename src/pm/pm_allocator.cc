@@ -110,6 +110,18 @@ void PmAllocator::Free(PmPtr p) {
   large_free_.emplace_back(rounded, std::vector<PmPtr>{p});
 }
 
+void PmAllocator::Adopt(PmPtr p, size_t size) {
+  DINOMO_CHECK(p != kNullPmPtr);
+  DINOMO_CHECK(pool_->Contains(p - kHeaderSize, kHeaderSize + size));
+  const size_t rounded = RoundUp(size);
+  auto* hdr = reinterpret_cast<BlockHeader*>(
+      pool_->Translate(p - kHeaderSize));  // pm-lint: allow(volatile allocator metadata)
+  hdr->block_size = rounded;
+  hdr->magic = kMagicAllocated;
+  SpinLockHolder lock(mu_);
+  allocated_bytes_ += rounded;
+}
+
 size_t PmAllocator::allocated_bytes() const {
   SpinLockHolder lock(mu_);
   return allocated_bytes_;

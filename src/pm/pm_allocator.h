@@ -38,6 +38,12 @@ class PmAllocator {
   /// Returns a block previously obtained from Alloc.
   void Free(PmPtr p);
 
+  /// Takes over a live block of `size` bytes that a pre-crash allocator
+  /// handed out (recovery: a log segment still listed in the directory),
+  /// so that Free returns it to this allocator's free lists. Block
+  /// headers are volatile, so this stamps the block's header anew.
+  void Adopt(PmPtr p, size_t size);
+
   /// Installs a hook invoked (outside the allocator lock) whenever the
   /// bump pointer grows, with the new absolute high-water offset. The DPM
   /// node persists this into its recovery superblock so a post-crash

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -589,6 +590,184 @@ TEST_F(LogCleanerTest, RacingMergesAndPassesKeepEveryValue) {
   }
 }
 
+// A merge that swapped a victim's entry out of the CLHT has not charged
+// it yet (ApplyRecord: CLHT upsert, skiplist upsert, NoteSuperseded). If
+// the pass freed the victim in that window and the allocator handed its
+// base to a new segment, the late charge would land there, and GC would
+// free the new segment under its one live entry. The test thread plays
+// that merge step by step inside an ExecutingScope; the pass runs on its
+// own thread and reallocates the moment it returns. Guarantee: the
+// delayed free (CleanPass waits for the merges executing when it is done).
+TEST(LogCleanerRaceTest, PassWaitsForAMergeStillChargingItsVictim) {
+  dpm::DpmNode node(CleanerDpm());
+  constexpr uint64_t kOwner = 0x105;
+  constexpr uint64_t kWriter = 0x205;
+  constexpr uint64_t kReuser = 0x305;
+  // The victim: 40 keys, then 20 of them overwritten (50% dead).
+  const pm::PmPtr victim =
+      WriteSealedSegment(&node, kOwner, KeyRange(0, 40), 0);
+  WriteSealedSegment(&node, kOwner, KeyRange(0, 20), 1);
+  const std::string key = Key(39);
+  const uint64_t kh = kn::KeyHash(Slice(key));
+  const dpm::ValuePtr old = IndexedPtr(&node, key);
+  ASSERT_TRUE(Holds(victim, old));
+
+  // The racing merge's entry: a newer version of `key`, in the log.
+  auto seg = node.AllocateSegment(0, kWriter);
+  ASSERT_TRUE(seg.ok());
+  dpm::LogBuilder batch;
+  batch.AddPut(1, kh, Slice(key), Slice(Value(key, 2)));
+  const pm::PmPtr data = *seg + pm::kCacheLineSize;
+  ASSERT_TRUE(
+      dpm::AppendBatchPm(node.pool(), data, batch.data(), batch.bytes()).ok());
+  const dpm::ValuePtr newer =
+      dpm::ValuePtr::Pack(data, static_cast<uint32_t>(batch.bytes()));
+
+  std::atomic<bool> passed{false};
+  pm::PmPtr reused = pm::kNullPmPtr;
+  std::thread cleaner;
+  {
+    dpm::MergeService::ExecutingScope merging(node.merge());
+    auto prev = node.index()->Upsert(kh, newer.raw());
+    ASSERT_TRUE(prev.ok());
+    ASSERT_EQ(prev.value(), old.raw());
+    ASSERT_TRUE(node.ordered()
+                    ->UpsertHashed(index::PmSkipList::OrderedKey(
+                                       key.data(), key.size()),
+                                   kh, newer.raw())
+                    .ok());
+    cleaner = std::thread([&] {
+      node.CleanPass();
+      passed.store(true);
+      auto again = node.AllocateSegment(0, kReuser);
+      if (again.ok()) reused = again.value();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(passed.load()) << "the victim was freed under a merge";
+    node.NoteSuperseded(old.offset());
+  }
+  cleaner.join();
+  EXPECT_EQ(node.Stats().clean_victims, 1u);
+  ASSERT_EQ(reused, victim);  // the freed base is the next one handed out
+
+  // The reused segment gets one put and is sealed: nothing superseded it,
+  // so GC must keep it.
+  const uint64_t gced = node.Stats().segments_gced;
+  const std::string fresh = "fresh";
+  dpm::LogBuilder one;
+  one.AddPut(1, kn::KeyHash(Slice(fresh)), Slice(fresh),
+             Slice(Value(fresh, 0)));
+  const pm::PmPtr at = reused + pm::kCacheLineSize;
+  ASSERT_TRUE(
+      dpm::AppendBatchPm(node.pool(), at, one.data(), one.bytes()).ok());
+  ASSERT_TRUE(
+      node.SubmitBatch(0, kReuser, reused, at, one.bytes(), one.puts()).ok());
+  ASSERT_TRUE(node.SealSegment(0, kReuser, reused).ok());
+  ASSERT_TRUE(node.DrainOwner(kReuser).ok());
+  EXPECT_EQ(node.Stats().segments_gced, gced);
+  EXPECT_EQ(IndexedValue(&node, fresh), Value(fresh, 0));
+  auto next = node.AllocateSegment(0, kReuser);
+  ASSERT_TRUE(next.ok());
+  EXPECT_NE(next.value(), reused);
+  EXPECT_EQ(IndexedValue(&node, key), Value(key, 2));
+  for (int i = 0; i < 39; ++i) {
+    EXPECT_EQ(IndexedValue(&node, Key(i)), Value(Key(i), i < 20 ? 1 : 0));
+  }
+}
+
+// A pass cut short (here: no PM left for its next destination segment)
+// hands its victim back with the entries it moved counted as superseded.
+// A move only the skiplist took is not one of them: a merge already swapped
+// the CLHT off that entry and charges it itself. Counting it twice would let
+// GC free the victim under its last live entry.
+TEST(LogCleanerRaceTest, CutShortPassCountsOnlyEntriesNoMergeWillCharge) {
+  dpm::DpmOptions opt = CleanerDpm();
+  opt.pool_size = 4 * kMiB;
+  dpm::DpmNode node(opt);
+  constexpr uint64_t kOwner = 0x105;
+  constexpr uint64_t kWriter = 0x205;
+  // Two passes leave 60 entries in the cleaner's open segment, which holds
+  // 65: room for five more.
+  for (int first : {100, 200}) {
+    WriteSealedSegment(&node, kOwner, KeyRange(first, 60), 0);
+    WriteSealedSegment(&node, kOwner, KeyRange(first, 30), 1);
+    ASSERT_GT(node.CleanPass(), 0.0);
+  }
+  ASSERT_EQ(node.Stats().clean_relocated, 60u);
+  // The victim: keys 0-39, then 0-19 overwritten; 20-39 are live.
+  const pm::PmPtr victim =
+      WriteSealedSegment(&node, kOwner, KeyRange(0, 40), 0);
+  WriteSealedSegment(&node, kOwner, KeyRange(0, 20), 1);
+  // A newer version of key 20, for the merge the test thread plays.
+  const std::string key = Key(20);
+  const uint64_t kh = kn::KeyHash(Slice(key));
+  const dpm::ValuePtr old = IndexedPtr(&node, key);
+  ASSERT_TRUE(Holds(victim, old));
+  auto seg = node.AllocateSegment(0, kWriter);
+  ASSERT_TRUE(seg.ok());
+  dpm::LogBuilder batch;
+  batch.AddPut(1, kh, Slice(key), Slice(Value(key, 2)));
+  const pm::PmPtr data = *seg + pm::kCacheLineSize;
+  ASSERT_TRUE(
+      dpm::AppendBatchPm(node.pool(), data, batch.data(), batch.bytes()).ok());
+  const dpm::ValuePtr newer =
+      dpm::ValuePtr::Pack(data, static_cast<uint32_t>(batch.bytes()));
+  // Take every free segment, so the pass cannot open another.
+  std::vector<pm::PmPtr> hoard;
+  for (auto a = node.allocator()->Alloc(opt.segment_size); a.ok();
+       a = node.allocator()->Alloc(opt.segment_size)) {
+    hoard.push_back(a.value());
+  }
+
+  const uint64_t gced = node.Stats().segments_gced;
+  std::atomic<bool> passed{false};
+  std::thread cleaner;
+  {
+    // The merge swaps the CLHT, then the pass runs before its skiplist
+    // upsert: key 20 still looks live there and moves (skiplist only),
+    // with 21-24; key 25 finds no room, and the pass stops.
+    dpm::MergeService::ExecutingScope merging(node.merge());
+    auto prev = node.index()->Upsert(kh, newer.raw());
+    ASSERT_TRUE(prev.ok());
+    ASSERT_EQ(prev.value(), old.raw());
+    cleaner = std::thread([&] {
+      node.CleanPass();
+      passed.store(true);
+    });
+    for (int ms = 0; ms < 2000 && !passed.load(); ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(passed.load()) << "the pass was not cut short";
+    EXPECT_TRUE(node.ordered()
+                    ->UpsertHashed(index::PmSkipList::OrderedKey(
+                                       key.data(), key.size()),
+                                   kh, newer.raw())
+                    .ok());
+    node.NoteSuperseded(old.offset());
+  }
+  cleaner.join();
+  EXPECT_EQ(node.Stats().clean_victims, 2u);  // the two filling passes
+  EXPECT_EQ(node.Stats().clean_relocated, 65u);
+  EXPECT_TRUE(Holds(victim, IndexedPtr(&node, Key(25))));
+  for (pm::PmPtr p : hoard) node.allocator()->Free(p);
+
+  // 14 of the victim's 15 entries left live are overwritten: one stays, so
+  // GC must keep the victim.
+  WriteSealedSegment(&node, kOwner, KeyRange(25, 14), 3);
+  EXPECT_EQ(node.Stats().segments_gced, gced);
+  ASSERT_TRUE(Holds(victim, IndexedPtr(&node, Key(39))));
+  while (node.CleanPass() > 0.0) {
+  }
+  EXPECT_FALSE(Holds(victim, IndexedPtr(&node, Key(39))));
+  for (int i = 0; i < 40; ++i) {
+    const int version = i < 20 ? 1 : i == 20 ? 2 : i < 25 ? 0 : i < 39 ? 3 : 0;
+    for (bool ordered : {false, true}) {
+      EXPECT_EQ(IndexedValue(&node, Key(i), ordered), Value(Key(i), version))
+          << Key(i) << (ordered ? " (skiplist)" : "");
+    }
+  }
+}
+
 // ----- Crash consistency ------------------------------------------------
 
 // Crash-point sweep over one cleaning pass and a newer merge of a
@@ -662,6 +841,45 @@ TEST(LogCleanerCrashTest, EveryPersistBoundaryOfARelocation) {
       const std::string got = IndexedValue(r, key);
       EXPECT_TRUE(got == value || (k < flushed_at && got == before_put.at(key)))
           << "boundary " << k << " key " << key << " after a pass: " << got;
+    }
+  }
+}
+
+// Supersessions charged to a segment after its last merged batch (every
+// one, for a cleaner segment) are counted in DRAM only; recovery recounts
+// them against the recovered indexes. A cleaner segment mostly dead at the
+// crash is cleaned after it.
+TEST(LogCleanerCrashTest, DeadCleanerSegmentIsCleanedAfterRecovery) {
+  dpm::DpmOptions opt = CleanerDpm(/*crash_sim=*/true);
+  opt.pool_size = 8 * kMiB;
+  auto node = std::make_unique<dpm::DpmNode>(opt);
+  constexpr uint64_t kOwner = 0x105;
+  WriteSealedSegment(node.get(), kOwner, KeyRange(0, 60), 0);
+  WriteSealedSegment(node.get(), kOwner, KeyRange(0, 30), 1);  // 50% dead
+  ASSERT_GT(node->CleanPass(), 0.0);  // keys 30-59 move to a cleaner segment
+  const dpm::ValuePtr moved = IndexedPtr(node.get(), Key(59));
+  // 26 of the 30 moved keys are overwritten: the cleaner segment is 87%
+  // dead.
+  WriteSealedSegment(node.get(), kOwner, KeyRange(30, 26), 2);
+
+  auto pool = std::move(*node).DetachPool();
+  node.reset();
+  ASSERT_TRUE(pool->SimulateCrash().ok());
+  obs::MetricsRegistry reg;  // counts the recovered node's passes only
+  opt.metrics = &reg;
+  auto recovered = dpm::DpmNode::Recover(opt, std::move(pool));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  dpm::DpmNode* r = recovered.value().get();
+  ASSERT_EQ(IndexedPtr(r, Key(59)).raw(), moved.raw());
+  while (r->CleanPass() > 0.0) {
+  }
+  EXPECT_EQ(r->Stats().clean_victims, 1u);
+  EXPECT_EQ(r->Stats().clean_relocated, 4u);
+  EXPECT_NE(IndexedPtr(r, Key(59)).raw(), moved.raw());
+  for (int i = 0; i < 60; ++i) {
+    const int version = i < 30 ? 1 : i < 56 ? 2 : 0;
+    for (bool ordered : {false, true}) {
+      EXPECT_EQ(IndexedValue(r, Key(i), ordered), Value(Key(i), version));
     }
   }
 }
