@@ -608,13 +608,16 @@ void DpmNode::MaybeGcOwnerLocked(OwnerSegments& os, pm::PmPtr base,
 }
 
 void DpmNode::FreeSegmentLocked(OwnerSegments& os, pm::PmPtr base) {
-  DirectoryRemove(base);
-  alloc_->Free(base);
   os.segments.erase(base);
   {
     WriterLock lock(seg_index_mu_);
     seg_index_.erase(base);
   }
+  DirectoryRemove(base);
+  // Last: once the allocator has the block, a segment of another owner
+  // (another stripe) may be registered at the same base, and erasing by
+  // base after that would unregister it.
+  alloc_->Free(base);
   segments_gced_.Inc();
 }
 
