@@ -28,6 +28,15 @@ inline dpm::ValuePtr PackVersion(pm::PmPtr ptr, size_t total) {
 
 // Every kLeaseBatch version allocations cost one MS RPC (space leasing).
 constexpr int kLeaseBatch = 32;
+// MS CPU time per metadata RPC, us.
+constexpr double kMsRpcCpuUs = 12.0;
+// GC truncates version chains once they exceed this many versions.
+constexpr int kGcChainThreshold = 2;
+// KN-side CPU model (us): a shortcut-hit read, a miss resolved through the
+// MS, and a write.
+constexpr double kCpuReadUs = 6.0;
+constexpr double kCpuMissUs = 8.0;
+constexpr double kCpuWriteUs = 7.0;
 
 }  // namespace
 
@@ -42,7 +51,7 @@ CloverStore::CloverStore(const CloverOptions& options)
   alloc_ = std::make_unique<pm::PmAllocator>(
       pool_.get(), pm::kCacheLineSize,
       options_.pool_size - pm::kCacheLineSize);
-  fabric_ = std::make_unique<net::Fabric>(pool_.get(), options_.link_profile,
+  fabric_ = std::make_unique<net::Fabric>(pool_.get(), net::LinkProfile(),
                                           options_.metrics);
 }
 
@@ -63,10 +72,10 @@ void CloverStore::EncodeVersion(char* buf, uint64_t key_hash,
 }
 
 Result<pm::PmPtr> CloverStore::MsLookup(int kn_node, uint64_t key_hash) {
-  fabric_->ChargeRpc(kn_node, 16, 16, options_.ms_rpc_cpu_us);
+  fabric_->ChargeRpc(kn_node, 16, 16, kMsRpcCpuUs);
   MutexLock lock(ms_mu_);
   ms_rpcs_.Inc();
-  ms_cpu_us_.Add(options_.ms_rpc_cpu_us);
+  ms_cpu_us_.Add(kMsRpcCpuUs);
   auto it = chains_.find(key_hash);
   if (it == chains_.end()) return Status::NotFound();
   return it->second;
@@ -74,10 +83,10 @@ Result<pm::PmPtr> CloverStore::MsLookup(int kn_node, uint64_t key_hash) {
 
 Status CloverStore::MsInsert(int kn_node, uint64_t key_hash,
                              pm::PmPtr version) {
-  fabric_->ChargeRpc(kn_node, 24, 8, options_.ms_rpc_cpu_us);
+  fabric_->ChargeRpc(kn_node, 24, 8, kMsRpcCpuUs);
   MutexLock lock(ms_mu_);
   ms_rpcs_.Inc();
-  ms_cpu_us_.Add(options_.ms_rpc_cpu_us);
+  ms_cpu_us_.Add(kMsRpcCpuUs);
   auto [it, inserted] = chains_.emplace(key_hash, version);
   if (!inserted) return Status::Busy("key already exists");
   return Status::Ok();
@@ -88,8 +97,8 @@ Result<pm::PmPtr> CloverStore::MsAllocateVersion(int kn_node, size_t bytes) {
   {
     MutexLock lock(ms_mu_);
     if (ms_rpcs_.value() % kLeaseBatch == 0) {
-      fabric_->ChargeRpc(kn_node, 16, 16, options_.ms_rpc_cpu_us);
-      ms_cpu_us_.Add(options_.ms_rpc_cpu_us);
+      fabric_->ChargeRpc(kn_node, 16, 16, kMsRpcCpuUs);
+      ms_cpu_us_.Add(kMsRpcCpuUs);
     }
     ms_rpcs_.Inc();
   }
@@ -119,7 +128,7 @@ uint64_t CloverStore::RunGcOnce() {
       cur = std::atomic_ref<const uint64_t>(hdr->next)
                 .load(std::memory_order_acquire);
     }
-    if (static_cast<int>(versions.size()) <= options_.gc_chain_threshold) {
+    if (static_cast<int>(versions.size()) <= kGcChainThreshold) {
       continue;
     }
     // New head = the latest version; everything before it is recycled.
@@ -204,7 +213,7 @@ kn::OpResult CloverKn::Get(const Slice& key) {
   auto r = cache_.Lookup(key_hash);
   pm::PmPtr start = 0;
   if (r.kind == cache::HitKind::kShortcutHit) {
-    out.cpu_us = store_->options().cpu_read_us;
+    out.cpu_us = kCpuReadUs;
     out.hit = cache::HitKind::kShortcutHit;
     start = r.ptr.raw();
     pm::PmPtr latest = 0;
@@ -219,7 +228,7 @@ kn::OpResult CloverKn::Get(const Slice& key) {
 
   // Miss (or stale pointer): the metadata server resolves the key.
   out.hit = cache::HitKind::kMiss;
-  out.cpu_us = store_->options().cpu_miss_us;
+  out.cpu_us = kCpuMissUs;
   auto head = store_->MsLookup(fabric_node_, key_hash);
   if (!head.ok()) {
     out.status = head.status();
@@ -240,7 +249,7 @@ kn::OpResult CloverKn::Put(const Slice& key, const Slice& value) {
   kn::OpResult out;
   net::ScopedOpCost scope(&out.cost);
   const uint64_t key_hash = kn::KeyHash(key);
-  out.cpu_us = store_->options().cpu_write_us;
+  out.cpu_us = kCpuWriteUs;
 
   // Out-of-place: allocate + write the new version (one one-sided write).
   const size_t bytes = CloverStore::VersionSize(value.size());

@@ -19,21 +19,10 @@ namespace dinomo {
 namespace clover {
 
 /// Configuration of the Clover baseline.
+/// Clover runs on the default (paper testbed) link profile; its CPU costs
+/// and GC threshold are constants in clover.cc.
 struct CloverOptions {
   size_t pool_size = 512 * 1024 * 1024;
-  net::LinkProfile link_profile;
-  /// Metadata-server worker threads (paper setup: "6 threads (4 workers,
-  /// 1 epoch thread, 1 GC thread)"). The workers are the serving pool the
-  /// virtual-time engine models as Clover's bottleneck.
-  int ms_workers = 4;
-  /// MS CPU time per metadata RPC, us.
-  double ms_rpc_cpu_us = 12.0;
-  /// GC truncates version chains once they exceed this many versions.
-  int gc_chain_threshold = 2;
-  // KN-side CPU model (us).
-  double cpu_read_us = 6.0;
-  double cpu_write_us = 7.0;
-  double cpu_miss_us = 8.0;
   /// Registry the store, its fabric/pool and its KNs publish metrics
   /// into; nullptr = the process-wide registry.
   obs::MetricsRegistry* metrics = nullptr;

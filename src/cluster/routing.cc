@@ -44,10 +44,9 @@ int RoutingTable::ReplicationFactor(uint64_t key_hash) const {
   return static_cast<int>(std::max<size_t>(1, it->second.size()));
 }
 
-RoutingService::RoutingService(int threads_per_kn, int virtual_nodes) {
+RoutingService::RoutingService(int threads_per_kn) {
   auto table = std::make_shared<RoutingTable>();
   table->version = 0;
-  table->global_ring = HashRing(virtual_nodes);
   table->threads_per_kn = threads_per_kn;
   table_ = std::move(table);
 }

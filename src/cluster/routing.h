@@ -60,7 +60,7 @@ struct RoutingTable {
 /// reconfiguration protocol.
 class RoutingService {
  public:
-  explicit RoutingService(int threads_per_kn, int virtual_nodes = 64);
+  explicit RoutingService(int threads_per_kn);
 
   /// Current table snapshot (cheap: shared_ptr copy).
   std::shared_ptr<const RoutingTable> Snapshot() const;

@@ -189,13 +189,6 @@ class CondVar {
     return cv_.wait_until(lock.ul_, deadline) == std::cv_status::no_timeout;
   }
 
-  template <typename Rep, typename Period>
-  bool WaitFor(MutexLock& lock,
-               const std::chrono::duration<Rep, Period>& timeout)
-      NO_THREAD_SAFETY_ANALYSIS {
-    return cv_.wait_for(lock.ul_, timeout) == std::cv_status::no_timeout;
-  }
-
  private:
   std::condition_variable cv_;
 };

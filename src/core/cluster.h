@@ -136,9 +136,6 @@ class Client {
   OpFuture PutAsync(const Slice& key, const Slice& value) {
     return ExecuteAsync(kn::Request::Type::kPut, key, value);
   }
-  OpFuture DeleteAsync(const Slice& key) {
-    return ExecuteAsync(kn::Request::Type::kDelete, key, Slice());
-  }
   OpFuture ExecuteAsync(kn::Request::Type type, const Slice& key,
                         const Slice& value, uint32_t scan_count = 0);
 

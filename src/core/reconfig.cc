@@ -420,7 +420,11 @@ mnode::ClusterMetrics ReconfigProtocol::CollectMetrics(Histogram* latency,
       std_sum += load.key_freq_stddev;
       workers++;
     });
-    metrics.occupancy[id] = rt_->Occupancy(id, busy_us, epoch_us);
+    // The fraction of the epoch the KN's workers were busy, in [0, 1].
+    const double busy = rt_->EpochBusyUs(id, busy_us);
+    const double per_worker_us = epoch_us * workers_per_kn_;
+    metrics.occupancy[id] =
+        per_worker_us > 0 ? std::min(1.0, busy / per_worker_us) : 0.0;
   }
   if (workers > 0) {
     metrics.key_freq_mean = mean_sum / workers;

@@ -1,7 +1,6 @@
 #ifndef DINOMO_CORE_RECONFIG_H_
 #define DINOMO_CORE_RECONFIG_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -31,7 +30,6 @@ template <typename Options>
 Options WithVariant(Options opt) {
   if (opt.variant == SystemVariant::kDinomoN) {
     opt.dpm.partitioned_metadata = true;
-    opt.kn.dinomo_n = true;
   }
   if (opt.variant == SystemVariant::kDinomoS) {
     opt.kn.policy = kn::CachePolicyKind::kShortcutOnly;
@@ -89,11 +87,10 @@ class Runtime {
   virtual Status OnFailureDetected(std::function<Status()> recover) {
     return recover();
   }
-  /// Fraction of the last `epoch_us` the KN was busy, given its workers'
-  /// reported busy time.
-  virtual double Occupancy(uint64_t /*kn_id*/, double worker_busy_us,
-                           double epoch_us) {
-    return epoch_us > 0 ? std::min(1.0, worker_busy_us / epoch_us) : 0.0;
+  /// The KN's busy time over the last epoch, summed over its workers,
+  /// given the busy time they reported: that time by default.
+  virtual double EpochBusyUs(uint64_t /*kn_id*/, double worker_busy_us) {
+    return worker_busy_us;
   }
   /// Called before the protocol drains the merge queues of the owners
   /// `which` selects synchronously on this thread: completes any of their

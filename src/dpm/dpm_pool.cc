@@ -70,7 +70,6 @@ DpmPool::DpmPool(const DpmPoolOptions& options_in)
       recovery_window_us_(metrics_.gauge("recovery_window_us")) {
   const DpmPoolOptions options = Sanitize(options_in);
   replication_factor_ = options.replication_factor;
-  ring_ = cluster::HashRing(options.virtual_nodes);
   for (int i = 0; i < options.nodes; ++i) {
     DpmOptions per_node = options.dpm;
     per_node.node_id = i;

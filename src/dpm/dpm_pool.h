@@ -27,8 +27,6 @@ struct DpmPoolOptions {
   int replication_factor = 1;
   /// Per-node template; node_id is stamped per instance.
   DpmOptions dpm;
-  /// Ring points per DPM node.
-  int virtual_nodes = 64;
 };
 
 /// Where a key hash lives in the pool, stamped with the placement

@@ -99,7 +99,7 @@ Status ParseEntry(const char* buf, size_t avail, LogRecord* rec,
 /// the last entry marker-less, which DecodeEntry rejects — the committed
 /// prefix stays replayable and no torn entry is ever trusted. This is the
 /// DPM-local equivalent of the KN's single durable one-sided write, used
-/// by data reorganization (core/migration.cc).
+/// by DINOMO-N's data reorganization (ReconfigProtocol::Reorganize).
 Status AppendBatchPm(pm::PmPool* pool, pm::PmPtr dst, const char* data,
                      size_t len,
                      const pm::SourceLoc& loc = pm::SourceLoc::current());

@@ -8,7 +8,6 @@
 
 #include "common/mutex.h"
 #include "common/status.h"
-#include "index/kv_index.h"
 #include "net/fabric.h"
 #include "pm/pm_allocator.h"
 #include "pm/pm_pool.h"
@@ -46,7 +45,7 @@ namespace index {
 /// Keys are non-zero 64-bit values (the paper's workloads use 8-byte keys;
 /// the KVS layer maps variable-length keys onto 64-bit fingerprints and
 /// verifies the full key stored in the log entry on reads).
-class Clht : public KvIndex {
+class Clht {
  public:
   /// One reader-visible result of a remote lookup.
   struct RemoteResult {
@@ -76,26 +75,27 @@ class Clht : public KvIndex {
   static Result<Clht*> Recover(pm::PmPool* pool, pm::PmAllocator* alloc,
                                pm::PmPtr header);
 
-  ~Clht() override;
+  ~Clht();
 
   Clht(const Clht&) = delete;
   Clht& operator=(const Clht&) = delete;
 
-  /// PM offset of the header (stable across recovery).
-  pm::PmPtr header_ptr() const override { return header_ptr_; }
+  /// PM offset of the header (stable across recovery; a node records it in
+  /// its superblock and re-attaches with Recover).
+  pm::PmPtr header_ptr() const { return header_ptr_; }
 
   // ----- Local (DPM-processor side) operations -----
 
   /// Inserts or updates key -> value. Returns the previous value pointer,
   /// or kNullPmPtr if the key was absent. Thread-safe.
-  Result<pm::PmPtr> Upsert(uint64_t key, pm::PmPtr value) override;
+  Result<pm::PmPtr> Upsert(uint64_t key, pm::PmPtr value);
 
   /// Removes the key. Returns the removed value pointer, or kNullPmPtr if
   /// the key was absent. Thread-safe.
-  Result<pm::PmPtr> Remove(uint64_t key) override;
+  Result<pm::PmPtr> Remove(uint64_t key);
 
   /// Lock-free local lookup. Returns kNullPmPtr if absent.
-  pm::PmPtr Lookup(uint64_t key) const override;
+  pm::PmPtr Lookup(uint64_t key) const;
 
   /// Sets key -> desired only if the key currently maps to `expected`,
   /// and persists the slot; returns whether it did. Serializes with
@@ -105,7 +105,7 @@ class Clht : public KvIndex {
   bool ReplaceIf(uint64_t key, pm::PmPtr expected, pm::PmPtr desired);
 
   /// Approximate number of live entries.
-  uint64_t Count() const override;
+  uint64_t Count() const;
   /// Current bucket-array size.
   uint64_t NumBuckets() const;
   /// Number of completed resizes.
@@ -113,13 +113,12 @@ class Clht : public KvIndex {
 
   /// Walks the whole table verifying structural invariants (slot pairs
   /// complete, chain pointers in-pool). Used by crash-recovery tests.
-  Status CheckConsistency() const override;
+  Status CheckConsistency() const;
 
   /// Visits every live (key, value) pair. Quiescent use only (no
   /// concurrent resize); DINOMO-N's data reorganization and recovery
   /// scans use this.
-  void ForEach(
-      const std::function<void(uint64_t, pm::PmPtr)>& fn) const override;
+  void ForEach(const std::function<void(uint64_t, pm::PmPtr)>& fn) const;
 
   /// Frees retired (pre-resize) bucket arrays. Callers must guarantee no
   /// remote reader still holds a handle to them (quiescent point).

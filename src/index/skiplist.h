@@ -10,7 +10,6 @@
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "index/kv_index.h"
 #include "net/fabric.h"
 #include "pm/pm_allocator.h"
 #include "pm/pm_pool.h"
@@ -20,8 +19,9 @@ namespace index {
 
 /// PmSkipList: the ordered DPM index that opens the scan workload class
 /// (YCSB-E). It lives beside the hash index (Clht serves point lookups;
-/// the skiplist serves range scans) and is mutated by the same merge path
-/// through the KvIndex interface.
+/// the skiplist serves range scans) and is mutated only by the same DPM
+/// merge path. Like Clht, it maps 64-bit keys to opaque value pointers and
+/// lives inside a PmPool behind a recoverable header.
 ///
 /// Layout: fixed 192-byte nodes (3 cache lines). The first line holds
 /// {okey, value, height, key_hash}; the next two hold the 16 level
@@ -56,7 +56,7 @@ namespace index {
 /// "search layer" keyed by that version (see kn::SearchLayerCache); a
 /// stale layer is still safe — nodes never move — it just starts the leaf
 /// walk a little earlier.
-class PmSkipList : public KvIndex {
+class PmSkipList {
  public:
   static constexpr int kMaxHeight = 16;
   /// Nodes at or above this height form the KN-cached search layer.
@@ -76,28 +76,35 @@ class PmSkipList : public KvIndex {
   static Result<PmSkipList*> Recover(pm::PmPool* pool, pm::PmAllocator* alloc,
                                      pm::PmPtr header);
 
-  ~PmSkipList() override = default;
+  ~PmSkipList() = default;
 
   PmSkipList(const PmSkipList&) = delete;
   PmSkipList& operator=(const PmSkipList&) = delete;
 
-  // ----- KvIndex (local, DPM-processor side) -----
+  // ----- Local (DPM-processor side) operations -----
 
-  pm::PmPtr header_ptr() const override { return header_ptr_; }
-  Result<pm::PmPtr> Upsert(uint64_t okey, pm::PmPtr value) override;
-  Result<pm::PmPtr> Remove(uint64_t okey) override;
-  pm::PmPtr Lookup(uint64_t okey) const override;
+  /// PM offset of the header (stable across recovery; a node records it in
+  /// its superblock and re-attaches with Recover).
+  pm::PmPtr header_ptr() const { return header_ptr_; }
+  /// Inserts or updates okey -> value and persists it. Returns the previous
+  /// value pointer, or kNullPmPtr if the key was absent. Thread-safe.
+  Result<pm::PmPtr> Upsert(uint64_t okey, pm::PmPtr value);
+  /// Tombstones okey. Returns the removed value pointer, or kNullPmPtr if
+  /// the key was absent. Thread-safe.
+  Result<pm::PmPtr> Remove(uint64_t okey);
+  /// Lock-free local lookup. Returns kNullPmPtr if absent.
+  pm::PmPtr Lookup(uint64_t okey) const;
   /// Sets okey's value to `desired` only if it currently is `expected`,
   /// persisting it as a publication point; returns whether it did.
   /// Serializes with the merge path's upserts on the writer lock, so a
   /// racing merge wins (the log cleaner's relocation publish).
   bool ReplaceIf(uint64_t okey, pm::PmPtr expected, pm::PmPtr desired);
-  uint64_t Count() const override {
-    return count_.load(std::memory_order_relaxed);
-  }
-  Status CheckConsistency() const override;
-  void ForEach(
-      const std::function<void(uint64_t, pm::PmPtr)>& fn) const override;
+  /// Approximate number of live entries.
+  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
+  /// Walks the structure verifying invariants (crash-recovery tests).
+  Status CheckConsistency() const;
+  /// Visits every live (okey, value) pair. Quiescent use only.
+  void ForEach(const std::function<void(uint64_t, pm::PmPtr)>& fn) const;
 
   /// Visits live (okey, value) pairs with okey >= start in ascending okey
   /// order until `fn` returns false. Lock-free.

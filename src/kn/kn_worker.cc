@@ -54,6 +54,14 @@ constexpr int kFailoverReplayRetries = 64;
 // two; ~32 bytes each).
 constexpr size_t kIcacheEntries = 1 << 14;
 
+// KN CPU cost (us) of flushing one group-commit batch, of scanning one
+// un-merged batch for a key (read path) or a range (scan overlay), and the
+// fixed cost of a range scan (positioning + row assembly) on top of its
+// batch scans. Calibrated like KnOptions::cpu_*.
+constexpr double kCpuBatchFlushUs = 3.0;
+constexpr double kCpuSegmentScanUs = 2.0;
+constexpr double kCpuScanUs = 9.0;
+
 Slice HashKeySlice(const uint64_t& key_hash) {
   return Slice(reinterpret_cast<const char*>(&key_hash), sizeof(key_hash));
 }
@@ -94,10 +102,9 @@ KnWorker::KnWorker(const KnOptions& options, int worker_idx,
 KnWorker::~KnWorker() = default;
 
 index::Clht* KnWorker::TargetIndex(int n) const {
-  // DINOMO-N runs single-node (the pool clamps it), so the partition
-  // index always lives on node 0.
-  return options_.dinomo_n ? node(n)->IndexFor(options_.kn_id)
-                           : node(n)->index();
+  // The shared index, or under DINOMO-N (a partitioned node; the pool
+  // clamps that variant to one node) this KN's private partition index.
+  return node(n)->IndexFor(options_.kn_id);
 }
 
 KnWorker::WriteState* KnWorker::StateFor(const dpm::DpmPlacement& pl) {
@@ -334,10 +341,9 @@ Status KnWorker::SearchCachedBatches(const WriteState* st, uint64_t key_hash,
   obs::TraceContext* ctx = obs::CurrentTraceContext();
   if (st != nullptr && st->batch.entries() > 0 &&
       st->bloom->MayContain(HashKeySlice(key_hash))) {
-    *cpu_us += options_.cpu_segment_scan_us;
+    *cpu_us += kCpuSegmentScanUs;
     if (ctx != nullptr) {
-      ctx->RecordLeaf(obs::SpanKind::kBatchScan, nullptr,
-                      options_.cpu_segment_scan_us);
+      ctx->RecordLeaf(obs::SpanKind::kBatchScan, nullptr, kCpuSegmentScanUs);
     }
     if (scan(st->batch.data(), st->batch.bytes(), value, &deleted)) {
       return deleted ? Status::Aborted("tombstone") : Status::Ok();
@@ -347,10 +353,9 @@ Status KnWorker::SearchCachedBatches(const WriteState* st, uint64_t key_hash,
   for (auto it = unmerged_batches_.rbegin(); it != unmerged_batches_.rend();
        ++it) {
     if (!it->bloom->MayContain(HashKeySlice(key_hash))) continue;
-    *cpu_us += options_.cpu_segment_scan_us;
+    *cpu_us += kCpuSegmentScanUs;
     if (ctx != nullptr) {
-      ctx->RecordLeaf(obs::SpanKind::kBatchScan, nullptr,
-                      options_.cpu_segment_scan_us);
+      ctx->RecordLeaf(obs::SpanKind::kBatchScan, nullptr, kCpuSegmentScanUs);
     }
     if (scan(it->bytes.data(), it->bytes.size(), value, &deleted)) {
       return deleted ? Status::Aborted("tombstone") : Status::Ok();
@@ -751,8 +756,7 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
   if (st->batch.entries() == 0) return Status::Ok();
   obs::TraceSpan flush_span(obs::SpanKind::kFlush);
   if (obs::TraceContext* ctx = obs::CurrentTraceContext()) {
-    ctx->RecordLeaf(obs::SpanKind::kFlush, "flush_cpu",
-                    options_.cpu_batch_flush_us);
+    ctx->RecordLeaf(obs::SpanKind::kFlush, "flush_cpu", kCpuBatchFlushUs);
   }
   DINOMO_CHECK(st->segment != pm::kNullPmPtr);
   const int p = pkey.first;
@@ -866,7 +870,7 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
   st->segment_used += len;
   st->batch.Clear();
   st->bloom = std::make_unique<BloomFilter>(options_.batch_max_ops * 4);
-  *cpu_us += options_.cpu_batch_flush_us;
+  *cpu_us += kCpuBatchFlushUs;
   return Status::Ok();
 }
 
@@ -1193,7 +1197,7 @@ OpResult KnWorker::ScanImpl(const Slice& start_key, uint32_t scan_len,
   CheckPlacement();
   rows->clear();
   stats_.scans++;
-  out.cpu_us = options_.cpu_scan_us;
+  out.cpu_us = kCpuScanUs;
   if (scan_len == 0) {
     out.status = Status::Ok();
     return out;
@@ -1207,7 +1211,7 @@ OpResult KnWorker::ScanImpl(const Slice& start_key, uint32_t scan_len,
   // key's newest entry wins. nullopt marks a delete.
   std::map<std::string, std::optional<std::string>> overlay;
   auto collect = [&](const char* data, size_t len) {
-    out.cpu_us += options_.cpu_segment_scan_us;
+    out.cpu_us += kCpuSegmentScanUs;
     dpm::LogIterator it(data, len);
     dpm::LogRecord rec;
     while (it.Next(&rec)) {

@@ -60,10 +60,6 @@ struct KnOptions {
   size_t batch_max_ops = 8;
   size_t batch_max_bytes = 64 * 1024;
 
-  /// DINOMO-N: use the KN's private partition index instead of the shared
-  /// one.
-  bool dinomo_n = false;
-
   /// KN index-metadata cache (communication-efficient read path): caches
   /// the ValuePtr each key hash resolved to, stamped with the placement
   /// generation, so common-case misses skip the dedicated index-lookup
@@ -79,16 +75,12 @@ struct KnOptions {
   // --- KN CPU cost model (us), consumed by the virtual-time engine ---
   // Calibrated so a KN worker thread's request-handling cost (network
   // stack, protobuf/ZeroMQ framing, cache management) is a few us, as on
-  // the paper's Xeon E5-2670v3 testbed.
+  // the paper's Xeon E5-2670v3 testbed. The batch-flush, batch-scan and
+  // range-scan costs are constants in kn_worker.cc.
   double cpu_value_hit_us = 1.8;
   double cpu_shortcut_hit_us = 6.0;
   double cpu_miss_us = 7.5;
   double cpu_write_us = 6.0;
-  double cpu_batch_flush_us = 3.0;
-  double cpu_segment_scan_us = 2.0;
-  /// Fixed KN-side cost of a range scan (positioning + row assembly); the
-  /// per-batch overlay scans add cpu_segment_scan_us each on top.
-  double cpu_scan_us = 9.0;
 
   /// Registry this node's workers (and their caches) publish metrics into;
   /// nullptr = the process-wide registry.

@@ -346,37 +346,12 @@ void KvsNode::ExecuteGetRun(KnWorker* worker, std::vector<Request>& run) {
 }
 
 WorkerStats KvsNode::AggregateStats() {
+  // Snapshot on each worker's own thread, so no count races its writer.
   WorkerStats total;
-  for (auto& w : workers_) {
-    // Collect on the worker's own thread when running to avoid races.
-    WorkerStats s;
-    if (running_.load(std::memory_order_acquire)) {
-      std::atomic<bool> done{false};
-      Mutex mu;
-      CondVar cv;
-      Request req;
-      req.type = Request::Type::kControl;
-      req.control = [&](KnWorker* worker) {
-        s = worker->SnapshotStats();
-        // Notify while holding the lock: the waiter destroys mu/cv as
-        // soon as it observes done, so an unlocked notify could touch a
-        // dead condition variable.
-        MutexLock lock(mu);
-        done = true;
-        cv.NotifyAll();
-      };
-      const int idx = static_cast<int>(&w - &workers_[0]);
-      if (queues_[idx]->Push(std::move(req))) {
-        MutexLock lock(mu);
-        while (!done.load()) cv.Wait(lock);
-      } else {
-        // Queue closed under us: the worker thread is exiting, so an
-        // inline snapshot no longer races with it.
-        s = w->SnapshotStats();
-      }
-    } else {
-      s = w->SnapshotStats();
-    }
+  Mutex mu;  // workers report concurrently
+  RunOnAllWorkers([&](KnWorker* w) {
+    const WorkerStats s = w->SnapshotStats();
+    MutexLock lock(mu);
     total.reads += s.reads;
     total.writes += s.writes;
     total.scans += s.scans;
@@ -384,7 +359,7 @@ WorkerStats KvsNode::AggregateStats() {
     total.shortcut_hits += s.shortcut_hits;
     total.misses += s.misses;
     total.wrong_owner += s.wrong_owner;
-  }
+  });
   return total;
 }
 

@@ -14,6 +14,10 @@ namespace net {
 namespace {
 thread_local OpCost* t_op_cost = nullptr;
 
+// Extra latency of a two-sided operation (RPC handled by a DPM processor)
+// beyond a one-sided round trip, in us.
+constexpr double kRpcExtraUs = 2.0;
+
 // Leaf trace span for one fabric op on the current thread's sampled
 // request (no-op otherwise). Duration is the cost model's view of the op
 // — round trips x link latency plus wire time plus any synchronous extra
@@ -262,12 +266,12 @@ void Fabric::ChargeRpc(int node, uint64_t req_bytes, uint64_t resp_bytes,
   }
   if (t_op_cost != nullptr) {
     t_op_cost->dpm_cpu_us += dpm_cpu_us;
-    t_op_cost->extra_latency_us += profile_.rpc_extra_us;
+    t_op_cost->extra_latency_us += kRpcExtraUs;
   }
   // A two-sided op is synchronous for the caller: round trip + wire time
   // + RPC overhead + the DPM processor servicing it.
   TraceFabricOp(profile_, obs::SpanKind::kRpc, what, wire_ops, wire_bytes,
-                profile_.rpc_extra_us + dpm_cpu_us);
+                kRpcExtraUs + dpm_cpu_us);
 }
 
 void Fabric::OpBatch::AddRead(pm::PmPtr src, void* dst, size_t len,

@@ -23,9 +23,6 @@ struct LinkProfile {
   /// Usable link bandwidth in GB/s (bytes stream at this rate on top of
   /// the base latency).
   double bandwidth_gbps = 7.0;
-  /// Extra latency of a two-sided operation (RPC handled by a DPM
-  /// processor) beyond a one-sided round trip, in us.
-  double rpc_extra_us = 2.0;
 
   /// Time for `bytes` payload bytes on the wire, in us.
   double TransferUs(uint64_t bytes) const {

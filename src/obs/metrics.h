@@ -276,18 +276,4 @@ class MetricGroup {
     dinomo_obs_c.Inc(delta);                                              \
   } while (0)
 
-#define DINOMO_GAUGE_SET(name, value)                                     \
-  do {                                                                    \
-    static ::dinomo::obs::Gauge& dinomo_obs_g =                           \
-        ::dinomo::obs::MetricsRegistry::Global().GetGauge(name);          \
-    dinomo_obs_g.Set(value);                                              \
-  } while (0)
-
-#define DINOMO_HISTOGRAM_RECORD(name, value)                              \
-  do {                                                                    \
-    static ::dinomo::obs::HistogramMetric& dinomo_obs_h =                 \
-        ::dinomo::obs::MetricsRegistry::Global().GetHistogram(name);      \
-    dinomo_obs_h.Record(value);                                           \
-  } while (0)
-
 #endif  // DINOMO_OBS_METRICS_H_

@@ -8,10 +8,22 @@
 namespace dinomo {
 namespace sim {
 
+namespace {
+
+// Metadata-server worker threads (paper setup: "6 threads (4 workers,
+// 1 epoch thread, 1 GC thread)"). The workers are the serving pool the
+// engine models as Clover's bottleneck.
+constexpr int kMsWorkers = 4;
+// MS GC pass interval (virtual time). Clover dedicates a GC thread that
+// cycles continuously; a pass over the hot chains is fast.
+constexpr double kGcIntervalUs = 20e3;
+
+}  // namespace
+
 CloverSim::CloverSim(const CloverSimOptions& options)
     : Driver(options, "sim.clover", "ms_pool.utilization",
-             options.clover.link_profile, options.clover.ms_workers,
-             /*pipeline_depth=*/1, /*tracer=*/nullptr),
+             net::LinkProfile(), kMsWorkers, /*pipeline_depth=*/1,
+             /*tracer=*/nullptr),
       options_(options) {
   if (options_.metrics != nullptr) {
     options_.clover.metrics = options_.metrics;
@@ -45,7 +57,7 @@ void CloverSim::Preload() {
 void CloverSim::Run(double duration_us, double warmup_us) {
   if (!gc_running_) {
     gc_running_ = true;
-    engine_.ScheduleAfter(options_.gc_interval_us, [this] { GcTick(); });
+    engine_.ScheduleAfter(kGcIntervalUs, [this] { GcTick(); });
   }
   Driver::Run(duration_us, warmup_us);
 }
@@ -53,7 +65,7 @@ void CloverSim::Run(double duration_us, double warmup_us) {
 void CloverSim::GcTick() {
   store_->RunGcOnce();
   if (engine_.now_us() < run_until_) {
-    engine_.ScheduleAfter(options_.gc_interval_us, [this] { GcTick(); });
+    engine_.ScheduleAfter(kGcIntervalUs, [this] { GcTick(); });
   } else {
     gc_running_ = false;
   }

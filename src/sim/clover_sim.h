@@ -23,9 +23,6 @@ struct CloverSimOptions : DriverOptions {
   clover::CloverOptions clover;
   size_t cache_bytes_per_kn = 16 * 1024 * 1024;
 
-  /// MS GC pass interval (virtual time). Clover dedicates a GC thread
-  /// that cycles continuously; a pass over the hot chains is fast.
-  double gc_interval_us = 20e3;
   /// Membership-update delay after a failure (paper: Clover updates RNs
   /// in < 68 ms).
   double membership_update_us = 68e3;

@@ -212,8 +212,7 @@ class DinomoSim : public Driver, private Runtime {
   void StopKn(uint64_t kn_id) override;
   void FailKn(uint64_t kn_id) override { StopKn(kn_id); }
   Status OnFailureDetected(std::function<Status()> recover) override;
-  double Occupancy(uint64_t kn_id, double worker_busy_us,
-                   double epoch_us) override;
+  double EpochBusyUs(uint64_t kn_id, double worker_busy_us) override;
   void RunOnWorkers(uint64_t kn_id,
                     const std::function<void(kn::KnWorker*)>& fn) override;
   double Quiesce(const std::vector<uint64_t>& kn_ids) override;

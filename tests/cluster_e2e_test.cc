@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -316,15 +317,31 @@ TEST(ClusterReconfigTest, TrafficContinuesDuringAddKn) {
   cluster.Stop();
 }
 
+// Occupancy is the fraction of the epoch a KN's workers were busy, so a
+// 2-worker KN divides its summed busy time by two epochs.
 TEST(ClusterMetricsTest, CollectsOccupancyAndHotKeys) {
-  Cluster cluster(SmallCluster(SystemVariant::kDinomo, 2));
+  ClusterOptions opt = SmallCluster(SystemVariant::kDinomo, 2);
+  ASSERT_EQ(opt.kn.num_workers, 2);
+  // Every put flushes its own batch, so the idle-queue flush finds nothing
+  // to charge and the busy time does not depend on thread timing.
+  opt.kn.batch_max_ops = 1;
+  Cluster cluster(opt);
   ASSERT_TRUE(cluster.Start().ok());
   auto client = cluster.NewClient();
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(client->Put("hotkey", "v").ok());
   }
-  auto metrics = cluster.CollectMetrics(1.0);
-  EXPECT_EQ(metrics.occupancy.size(), 2u);
+  // One worker served 200 puts, each a write plus a batch flush at the
+  // modeled 3 us.
+  const double busy_us = 200 * (opt.kn.cpu_write_us + 3.0);
+  const double epoch_s = 1e-3;
+  auto metrics = cluster.CollectMetrics(epoch_s);
+  ASSERT_EQ(metrics.occupancy.size(), 2u);
+  std::vector<double> occ;
+  for (const auto& [kn_id, o] : metrics.occupancy) occ.push_back(o);
+  std::sort(occ.begin(), occ.end());
+  EXPECT_DOUBLE_EQ(occ[0], 0.0);
+  EXPECT_DOUBLE_EQ(occ[1], busy_us / (epoch_s * 1e6 * opt.kn.num_workers));
   ASSERT_FALSE(metrics.hot_keys.empty());
   EXPECT_EQ(metrics.hot_keys[0].first, kn::KeyHash(Slice("hotkey")));
   EXPECT_GT(metrics.avg_latency_us, 0.0);
