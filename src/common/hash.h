@@ -28,9 +28,21 @@ inline uint64_t HashSlice(const Slice& s) { return Fnv1a64(s.data(), s.size()); 
 /// Hash with an extra seed, for Bloom filters and virtual ring nodes.
 uint64_t HashSeeded(const void* data, size_t len, uint64_t seed);
 
-/// CRC-32 (Castagnoli polynomial, software implementation). Used as the
-/// integrity check in log-entry commit markers.
+/// CRC-32C (Castagnoli polynomial). Used as the integrity check in
+/// log-entry commit markers. Runs the SSE4.2 crc32 instruction when the
+/// CPU has it (checked once per process), else a byte-at-a-time table
+/// loop; both compute the same polynomial, so the value is the same.
 uint32_t Crc32c(const void* data, size_t len);
+
+namespace detail {
+
+/// The two Crc32c paths, named so a test can compare them.
+uint32_t Crc32cPortable(const void* data, size_t len);
+/// Only valid when Crc32cHardwareAvailable() is true.
+uint32_t Crc32cHardware(const void* data, size_t len);
+bool Crc32cHardwareAvailable();
+
+}  // namespace detail
 
 }  // namespace dinomo
 

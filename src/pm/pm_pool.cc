@@ -9,6 +9,7 @@ namespace dinomo {
 namespace pm {
 namespace {
 
+#ifndef DINOMO_PM_CHECK
 bool CheckerEnvEnabled() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at pool creation,
   // before any worker thread exists; nothing in the process calls setenv.
@@ -16,6 +17,7 @@ bool CheckerEnvEnabled() {
   return e != nullptr && e[0] != '\0' && std::strcmp(e, "0") != 0 &&
          std::strcmp(e, "off") != 0 && std::strcmp(e, "OFF") != 0;
 }
+#endif
 
 }  // namespace
 

@@ -121,6 +121,29 @@ TEST(HashTest, Mix64IsBijectiveOnSample) {
 TEST(HashTest, Crc32cKnownVector) {
   // Standard CRC-32C test vector: "123456789" -> 0xE3069283.
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(detail::Crc32cPortable("123456789", 9), 0xE3069283u);
+  if (detail::Crc32cHardwareAvailable()) {
+    EXPECT_EQ(detail::Crc32cHardware("123456789", 9), 0xE3069283u);
+  }
+}
+
+TEST(HashTest, Crc32cHardwareMatchesPortableAtEveryLengthAndOffset) {
+  if (!detail::Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 on this CPU";
+  }
+  // Every start alignment (offsets 0-7) and every split of the hardware
+  // path into whole 8-byte words and a 0-7 byte tail.
+  constexpr size_t kMaxLen = 4096;
+  alignas(8) unsigned char buf[kMaxLen + 8];
+  Random rng(7);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const unsigned char* p = buf + offset;
+      ASSERT_EQ(detail::Crc32cHardware(p, len), detail::Crc32cPortable(p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 TEST(HashTest, Crc32cDetectsCorruption) {

@@ -52,6 +52,27 @@ TEST(LogEntryTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(rec.value.ToString(), value);
 }
 
+TEST(LogEntryTest, CrcFieldMatchesGoldenEntry) {
+  // Recorded from the byte-at-a-time table CRC. Entries already on PM
+  // carry these bytes, so every Crc32c path must reproduce them.
+  const std::string key = "user0000000042";
+  std::string value;
+  for (int i = 0; i < 100; ++i) value.push_back(static_cast<char>('a' + i % 26));
+  constexpr uint64_t kKeyHash = 0xe1194e696a4f3f00ULL;
+  EXPECT_EQ(HashSlice(key), kKeyHash);
+  constexpr size_t kCrcOffset = 4;  // EntryHeader: entry_size, then crc
+
+  std::string buf(512, '\0');
+  EncodeEntry(buf.data(), LogOp::kPut, 7, kKeyHash, key, value);
+  uint32_t crc = 0;
+  std::memcpy(&crc, buf.data() + kCrcOffset, sizeof(crc));
+  EXPECT_EQ(crc, 0xAD35737Au);
+
+  EncodeEntry(buf.data(), LogOp::kDelete, 8, kKeyHash, key, Slice());
+  std::memcpy(&crc, buf.data() + kCrcOffset, sizeof(crc));
+  EXPECT_EQ(crc, 0xC5743726u);
+}
+
 TEST(LogEntryTest, DeleteTombstoneHasNoValue) {
   std::string buf(512, '\0');
   EncodeEntry(buf.data(), LogOp::kDelete, 1, 99, "gone", Slice());
