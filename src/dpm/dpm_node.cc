@@ -818,6 +818,11 @@ double DpmNode::CleanPass() {
   }
   moved += PublishMoves();
   if (st.ok()) st = it.status();
+  // Notices go out before the victim's block can be reused (see
+  // MergeService::NotifyRelocations).
+  if (!clean_notices_.empty()) {
+    merge_->NotifyRelocations(std::exchange(clean_notices_, {}));
+  }
 
   // Free the victim only now that every move is durable, and once no
   // merge that could still charge one of its entries is applying: after

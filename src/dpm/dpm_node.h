@@ -226,12 +226,6 @@ class DpmNode {
   /// does nothing in DINOMO-N (partitioned) mode.
   double CleanPass();
 
-  /// The CLHT moves of the last pass, for MergeService::Finish to hand to
-  /// the relocation callback.
-  std::vector<Relocation> TakeRelocations() {
-    return std::exchange(clean_notices_, {});
-  }
-
   // ----- Failure handling / reconfiguration -----
 
   /// Synchronously merges all pending batches of `owner` (reconfiguration

@@ -173,16 +173,10 @@ double MergeService::Execute(const MergeTask& task) {
 
 void MergeService::Finish(const MergeTask& task) {
   const bool cleaner = task.owner == kCleanerOwner;
-  // A pass's moves are taken while its owner is still busy: the next pass
-  // cannot start (and append more) before the busy flag clears below.
-  std::vector<Relocation> moved;
-  if (cleaner) {
-    moved = dpm_->TakeRelocations();
-  } else {
+  if (!cleaner) {
     dpm_->CompleteBatch(task.owner, task.segment, task.data, task.bytes);
   }
   std::function<void(const MergeAck&)> cb;
-  std::function<void(int, const std::vector<Relocation>&)> relocated_cb;
   {
     MutexLock lock(mu_);
     auto it = queues_.find(task.owner);
@@ -199,18 +193,11 @@ void MergeService::Finish(const MergeTask& task) {
       PushLocked(pass);
     }
     UpdateDepthLocked();
-    if (cleaner) {
-      relocated_cb = relocation_cb_;
-    } else {
-      cb = merge_cb_;
-    }
+    if (!cleaner) cb = merge_cb_;
   }
   if (!cleaner) merged_batches_.Inc();
   work_cv_.NotifyOne();
   drain_cv_.NotifyAll();
-  if (relocated_cb && !moved.empty()) {
-    relocated_cb(dpm_->options().node_id, moved);
-  }
   if (cb) {
     cb(MergeAck{task.owner, task.segment, task.data, task.bytes,
                 dpm_->options().node_id});
@@ -290,6 +277,15 @@ void MergeService::SetRelocationCallback(
     std::function<void(int, const std::vector<Relocation>&)> cb) {
   MutexLock lock(mu_);
   relocation_cb_ = std::move(cb);
+}
+
+void MergeService::NotifyRelocations(const std::vector<Relocation>& moves) {
+  std::function<void(int, const std::vector<Relocation>&)> cb;
+  {
+    MutexLock lock(mu_);
+    cb = relocation_cb_;
+  }
+  if (cb) cb(dpm_->options().node_id, moves);
 }
 
 void MergeService::StartThreads(int n) {

@@ -179,13 +179,21 @@ class MergeService {
   /// uses it to wake blocked writers.
   void SetMergeCallback(std::function<void(const MergeAck&)> cb) EXCLUDES(mu_);
 
-  /// Registered callback fired after each cleaner pass with the entries
-  /// it moved through the CLHT (never a shared key's slot) and the
-  /// node's DpmOptions::node_id; the runtimes route each to the KN worker
-  /// that owns the key, which repoints its caches. Without it, KNs find
-  /// the moves by validation (a stale pointer fails its decode check).
+  /// Registered callback fired by each cleaner pass with the entries it
+  /// moved through the CLHT (never a shared key's slot) and the node's
+  /// DpmOptions::node_id; the runtimes route each to the KN worker that
+  /// owns the key, which repoints its caches. Without it, KNs find the
+  /// moves by validation (a stale pointer fails its decode check).
   void SetRelocationCallback(
       std::function<void(int node, const std::vector<Relocation>&)> cb)
+      EXCLUDES(mu_);
+
+  /// Hands `moves` to the relocation callback, if one is set. The pass
+  /// calls it before it frees the moves' old segment: once the allocator
+  /// can hand that block out again, a new entry of a moved key may land
+  /// at a move's `from`, and a notice applied after that write would
+  /// repoint the new entry's pointer at the older copy.
+  void NotifyRelocations(const std::vector<Relocation>& moves)
       EXCLUDES(mu_);
 
   /// Records a standalone merge_exec trace span per executed batch into

@@ -66,6 +66,25 @@ Slice HashKeySlice(const uint64_t& key_hash) {
   return Slice(reinterpret_cast<const char*>(&key_hash), sizeof(key_hash));
 }
 
+// The rule for every entry read through a raw value pointer: it decodes
+// (commit marker + CRC) as a put of `key_hash`. Anything else means the
+// pointer went stale — superseded, relocated and reused, or torn.
+bool DecodePutOf(const std::string& buf, uint64_t key_hash,
+                 dpm::LogRecord* rec) {
+  size_t consumed = 0;
+  return dpm::DecodeEntry(buf.data(), buf.size(), rec, &consumed).ok() &&
+         rec->key_hash == key_hash && rec->op == dpm::LogOp::kPut;
+}
+
+// Leaves the GET's one remaining read, of `vp`, to the caller.
+void PlanRead(DirectReadPlan* plan, bool from_shortcut, dpm::ValuePtr vp) {
+  plan->ready = true;
+  plan->from_shortcut = from_shortcut;
+  plan->vp = vp;
+  plan->buf.resize(vp.indirect() ? 0 : vp.entry_size());
+  plan->fused = false;
+}
+
 }  // namespace
 
 KnWorker::KnWorker(const KnOptions& options, int worker_idx,
@@ -147,6 +166,10 @@ void KnWorker::RefreshIndexHandle() {
 
 void KnWorker::CheckPlacement() {
   if (pool_->generation() != placement_gen_) FailoverRecover();
+  ApplyRelocations();
+}
+
+void KnWorker::ApplyRelocations() {
   if (!relocated_pending_.load(std::memory_order_acquire)) return;
   std::vector<std::pair<int, dpm::Relocation>> moves;
   {
@@ -266,34 +289,35 @@ void KnWorker::TrackAccess(uint64_t key_hash) {
 }
 
 Status KnWorker::ReadEntryValue(int n, dpm::ValuePtr vp, uint64_t key_hash,
-                                std::string* value, bool* was_indirect) {
-  *was_indirect = vp.indirect();
+                                std::string* value, DirectReadPlan* fused) {
   net::Fabric* fabric = node(n)->fabric();
-  std::string buf;
+  std::string own;
+  std::string& buf = fused != nullptr ? fused->buf : own;
   Status fault = Status::Ok();
   for (int attempt = 0; attempt < kReadRetries; ++attempt) {
-    dpm::ValuePtr direct = vp;
-    if (vp.indirect()) {
-      // Replicated key: one extra round trip through the indirect slot
-      // (the cost shared keys pay, §3.4).
-      const Result<uint64_t> raw =
-          fabric->AtomicRead64(options_.fabric_node, vp.offset());
-      fault = raw.status();
-      if (IsTransient(fault)) continue;  // dropped read: retry
-      if (!fault.ok()) return fault;
-      if (*raw == 0) return Status::NotFound("empty indirect slot");
-      direct = dpm::ValuePtr(*raw);
+    if (attempt == 0 && fused != nullptr && fused->fused) {
+      fault = fused->fate;  // the doorbell round's read
+    } else {
+      dpm::ValuePtr direct = vp;
+      if (vp.indirect()) {
+        // Replicated key: one extra round trip through the indirect slot
+        // (the cost shared keys pay, §3.4).
+        const Result<uint64_t> raw =
+            fabric->AtomicRead64(options_.fabric_node, vp.offset());
+        fault = raw.status();
+        if (IsTransient(fault)) continue;  // dropped read: retry
+        if (!fault.ok()) return fault;
+        if (*raw == 0) return Status::NotFound("empty indirect slot");
+        direct = dpm::ValuePtr(*raw);
+      }
+      buf.resize(direct.entry_size());
+      fault = fabric->Read(options_.fabric_node, direct.offset(), buf.data(),
+                           direct.entry_size());
     }
-    buf.resize(direct.entry_size());
-    fault = fabric->Read(options_.fabric_node, direct.offset(), buf.data(),
-                         direct.entry_size());
     if (IsTransient(fault)) continue;  // dropped read: retry
     if (!fault.ok()) return fault;
     dpm::LogRecord rec;
-    size_t consumed = 0;
-    Status st = dpm::DecodeEntry(buf.data(), buf.size(), &rec, &consumed);
-    if (st.ok() && rec.key_hash == key_hash &&
-        rec.op == dpm::LogOp::kPut) {
+    if (DecodePutOf(buf, key_hash, &rec)) {
       value->assign(rec.value.data(), rec.value.size());
       return Status::Ok();
     }
@@ -394,70 +418,42 @@ OpResult KnWorker::MissPath(const Slice& key, uint64_t key_hash,
     out.status = Status::Unavailable("dpm node failed");
     return out;
   }
-  const int n = pl.primary;
+  // Index-metadata cache: a generation-fresh pointer learned from an
+  // earlier traversal (or this worker's own append) resolves the value
+  // location without the index-lookup round — one one-sided read total,
+  // left to the caller. Recorded as a cache probe, not an index lookup,
+  // so trace attribution shows the index-lookup share falling. Shared keys
+  // bypass the icache: their current version lives behind the slot.
+  uint64_t raw = 0;
+  if (icache_ != nullptr && !shared &&
+      icache_->Lookup(key_hash, placement_gen_, pl.primary, &raw)) {
+    if (obs::TraceContext* ctx = obs::CurrentTraceContext()) {
+      ctx->RecordLeaf(obs::SpanKind::kCacheProbe, "icache_hit", 0.0);
+    }
+    PlanRead(plan, /*from_shortcut=*/false, dpm::ValuePtr(raw));
+    out.status = Status::Ok();
+    return out;
+  }
+
+  out.status = IndexWalk(pl.primary, key_hash, /*rts_spent=*/0, &out.value);
+  return out;
+}
+
+Status KnWorker::IndexWalk(int n, uint64_t key_hash, uint32_t rts_spent,
+                           std::string* value) {
   index::Clht::RemoteHandle& handle = index_handles_[static_cast<size_t>(n)];
   uint64_t& known_epoch = known_index_epochs_[static_cast<size_t>(n)];
-
   net::OpCost* cost = net::Fabric::ThreadOpCost();
   const uint32_t rts_before = cost != nullptr ? cost->round_trips : 0;
 
-  // Index-metadata cache: a generation-fresh pointer learned from an
-  // earlier traversal (or this worker's own append) resolves the value
-  // location without the index-lookup round — one one-sided read total.
-  // Recorded as a cache probe, not an index lookup, so trace attribution
-  // shows the index-lookup share falling. Shared keys bypass the icache:
-  // their current version lives behind the indirect slot.
-  if (icache_ != nullptr && !shared) {
-    uint64_t raw = 0;
-    if (icache_->Lookup(key_hash, placement_gen_, n, &raw)) {
-      if (obs::TraceContext* ctx = obs::CurrentTraceContext()) {
-        ctx->RecordLeaf(obs::SpanKind::kCacheProbe, "icache_hit", 0.0);
-      }
-      if (plan != nullptr) {
-        // Split-phase caller: hand the single remaining read back for
-        // doorbell fusion instead of issuing it here.
-        const dpm::ValuePtr vp(raw);
-        plan->ready = true;
-        plan->from_shortcut = false;
-        plan->node = n;
-        plan->key_hash = key_hash;
-        plan->vp = vp;
-        plan->buf.resize(vp.entry_size());
-        out.status = Status::Ok();
-        return out;
-      }
-      std::string value;
-      bool was_indirect = false;
-      Status st = ReadEntryValue(n, dpm::ValuePtr(raw), key_hash, &value,
-                                 &was_indirect);
-      if (st.ok()) {
-        const uint32_t rts_used =
-            cost != nullptr ? cost->round_trips - rts_before : 1;
-        cache_->AdmitOnMiss(key_hash, value, dpm::ValuePtr(raw), rts_used);
-        out.value = std::move(value);
-        out.status = Status::Ok();
-        return out;
-      }
-      if (IsTransient(st)) {
-        // The fabric ate the read; nothing is known about the pointer.
-        out.status = st;
-        return out;
-      }
-      // Fingerprint mismatch: the entry moved (merge GC / racing writer).
-      // Drop the slot and fall through to the authoritative traversal.
-      icache_->NoteStale(key_hash);
-    }
-  }
-
-  // Remaining miss work is the DPM-side index traversal plus the value
-  // read; group its fabric ops under one phase span.
+  // The DPM-side index traversal plus the value read; group its fabric
+  // ops under one phase span.
   obs::TraceSpan lookup_span(obs::SpanKind::kIndexLookup);
 
   if (!handle.valid()) RefreshIndexHandle(n);
   if (!handle.valid()) {
     // Handle fetch itself kept getting dropped; nothing safe to traverse.
-    out.status = Status::Unavailable("index handle unavailable");
-    return out;
+    return Status::Unavailable("index handle unavailable");
   }
   for (int attempt = 0; attempt < 2; ++attempt) {
     const Result<index::Clht::RemoteResult> res = TargetIndex(n)->RemoteLookup(
@@ -466,8 +462,7 @@ OpResult KnWorker::MissPath(const Slice& key, uint64_t key_hash,
       // A failed bucket read ends the traversal without an answer: the
       // key may well exist. A transient error is retried by the client's
       // backoff loop.
-      out.status = res.status();
-      return out;
+      return res.status();
     }
     if (!res->found) {
       // A stale (pre-resize) table can miss keys merged after the resize;
@@ -476,40 +471,31 @@ OpResult KnWorker::MissPath(const Slice& key, uint64_t key_hash,
         RefreshIndexHandle(n);
         continue;
       }
-      out.status = Status::NotFound();
-      return out;
+      return Status::NotFound();
     }
     dpm::ValuePtr vp(res->value);
-    std::string value;
-    bool was_indirect = false;
-    st = ReadEntryValue(n, vp, key_hash, &value, &was_indirect);
+    const Status st = ReadEntryValue(n, vp, key_hash, value);
     if (st.IsIoError() && attempt == 0) {
       // GC'd under us: the index has moved on; retry the traversal.
       continue;
     }
-    if (!st.ok()) {
-      out.status = st;
-      return out;
-    }
+    if (!st.ok()) return st;
     const uint32_t rts_used =
-        cost != nullptr ? cost->round_trips - rts_before : 2;
-    if (was_indirect) {
+        cost != nullptr ? rts_spent + cost->round_trips - rts_before : 2;
+    if (vp.indirect()) {
       // Replicated keys may only be cached as shortcuts to their slot.
       cache_->AdmitShortcutOnly(key_hash, vp);
     } else {
-      cache_->AdmitOnMiss(key_hash, value, vp, rts_used);
+      cache_->AdmitOnMiss(key_hash, *value, vp, rts_used);
       // Remember where the traversal landed so the next miss for this
       // key skips the index-lookup round entirely.
       if (icache_ != nullptr) {
         icache_->Admit(key_hash, placement_gen_, n, vp.raw());
       }
     }
-    out.value = std::move(value);
-    out.status = Status::Ok();
-    return out;
+    return Status::Ok();
   }
-  out.status = Status::IoError("miss path kept racing");
-  return out;
+  return Status::IoError("miss path kept racing");
 }
 
 OpResult KnWorker::GetImpl(const Slice& key, DirectReadPlan* plan) {
@@ -525,13 +511,14 @@ OpResult KnWorker::GetImpl(const Slice& key, DirectReadPlan* plan) {
     out.status = Status::WrongOwner();
     return out;
   }
-  const bool shared =
+  plan->shared =
       routing_ != nullptr && routing_->ReplicationFactor(key_hash) > 1;
-  const dpm::DpmPlacement pl = pool_->PlacementOf(key_hash);
+  plan->pl = pool_->PlacementOf(key_hash);
+  plan->key_hash = key_hash;
 
   auto r = cache_->Lookup(key_hash);
   if (r.kind == cache::HitKind::kValueHit) {
-    if (!shared) {
+    if (!plan->shared) {
       if (obs::TraceContext* ctx = obs::CurrentTraceContext()) {
         ctx->RecordLeaf(obs::SpanKind::kCacheProbe, "value_hit",
                         options_.cpu_value_hit_us);
@@ -540,107 +527,88 @@ OpResult KnWorker::GetImpl(const Slice& key, DirectReadPlan* plan) {
       out.value = std::move(r.value);
       out.cpu_us = options_.cpu_value_hit_us;
       out.hit = cache::HitKind::kValueHit;
-      stats_.value_hits++;
-      stats_.busy_us += out.cpu_us;
       return out;
     }
     // The key became replicated; a locally cached value may be stale.
     cache_->Invalidate(key_hash);
     r.kind = cache::HitKind::kMiss;
   }
-  if (r.kind == cache::HitKind::kShortcutHit) {
+  if (r.kind == cache::HitKind::kShortcutHit && plan->pl.primary >= 0) {
     if (obs::TraceContext* ctx = obs::CurrentTraceContext()) {
       ctx->RecordLeaf(obs::SpanKind::kCacheProbe, "shortcut_hit",
                       options_.cpu_shortcut_hit_us);
     }
-    if (plan != nullptr && !r.ptr.indirect() && pl.primary >= 0) {
-      // Split-phase caller: a direct shortcut is exactly one one-sided
-      // read — defer it for doorbell fusion. Indirect (replicated) keys
-      // need the slot dereference first and stay inline.
-      plan->ready = true;
-      plan->from_shortcut = true;
-      plan->node = pl.primary;
-      plan->key_hash = key_hash;
-      plan->vp = r.ptr;
-      plan->buf.resize(r.ptr.entry_size());
-      out.cpu_us = options_.cpu_shortcut_hit_us;
-      out.hit = cache::HitKind::kShortcutHit;
-      stats_.busy_us += out.cpu_us;
-      return out;
-    }
-    std::string value;
-    bool was_indirect = false;
-    Status st = ReadEntryValue(pl.primary, r.ptr, key_hash, &value,
-                               &was_indirect);
-    if (st.ok()) {
-      if (!was_indirect) {
-        cache_->OnShortcutHit(key_hash, value, r.ptr);
-      }
-      out.status = Status::Ok();
-      out.value = std::move(value);
-      out.cpu_us = options_.cpu_shortcut_hit_us;
-      out.hit = cache::HitKind::kShortcutHit;
-      stats_.shortcut_hits++;
-      stats_.busy_us += out.cpu_us;
-      return out;
-    }
-    // Stale shortcut (e.g. segment GC'd, or de-replication): drop it.
-    cache_->Invalidate(key_hash);
+    PlanRead(plan, /*from_shortcut=*/true, r.ptr);
+    out.cpu_us = options_.cpu_shortcut_hit_us;
+    out.hit = cache::HitKind::kShortcutHit;
+    return out;
   }
-
-  stats_.misses++;
-  OpResult miss = MissPath(key, key_hash, pl, shared, plan);
+  OpResult miss = MissPath(key, key_hash, plan->pl, plan->shared, plan);
   out.status = miss.status;
   out.value = std::move(miss.value);
   out.cpu_us = miss.cpu_us;
-  out.hit = cache::HitKind::kMiss;
-  stats_.busy_us += out.cpu_us;
   return out;
 }
 
 OpResult KnWorker::GetPrepare(const Slice& key, DirectReadPlan* plan) {
   OpResult out = GetImpl(key, plan);
-  if (plan->ready) return out;  // finished by GetComplete after the fusion
+  if (plan->ready) return out;  // finished by GetComplete
+  stats_.busy_us += out.cpu_us;
   return Finish(std::move(out));
 }
 
 OpResult KnWorker::GetComplete(const Slice& key, DirectReadPlan* plan,
                                OpResult partial) {
-  dpm::LogRecord rec;
-  size_t consumed = 0;
-  Status st = dpm::DecodeEntry(plan->buf.data(), plan->buf.size(), &rec,
-                               &consumed);
-  if (st.ok() && rec.key_hash == plan->key_hash &&
-      rec.op == dpm::LogOp::kPut) {
-    partial.value.assign(rec.value.data(), rec.value.size());
-    partial.status = Status::Ok();
-    if (plan->from_shortcut) {
-      cache_->OnShortcutHit(plan->key_hash, partial.value, plan->vp);
-      stats_.shortcut_hits++;
-    } else {
-      // Mirrors the inline icache-hit path: one round trip total.
-      cache_->AdmitOnMiss(plan->key_hash, partial.value, plan->vp,
-                          /*miss_rts=*/1);
+  net::OpCost more;
+  {
+    net::ScopedOpCost scope(&more);
+    while (plan->ready) {
+      plan->ready = false;
+      const uint32_t rts_before = more.round_trips;
+      std::string value;
+      const Status st = ReadEntryValue(plan->pl.primary, plan->vp,
+                                       plan->key_hash, &value, plan);
+      // Round trips this read cost (a fused round counts one): the DAC's
+      // admission weighs what a miss on the key costs.
+      const uint32_t rts_used =
+          (plan->fused ? 1 : 0) + more.round_trips - rts_before;
+      if (st.ok()) {
+        if (!plan->from_shortcut) {
+          cache_->AdmitOnMiss(plan->key_hash, value, plan->vp, rts_used);
+        } else if (!plan->vp.indirect()) {
+          cache_->OnShortcutHit(plan->key_hash, value, plan->vp);
+        }
+        partial.status = Status::Ok();
+        partial.value = std::move(value);
+      } else if (!plan->from_shortcut) {
+        if (IsTransient(st)) {
+          // The fabric ate every read; nothing is known about the pointer.
+          partial.status = st;
+        } else {
+          // Failed the check: the entry moved (merge GC, the log cleaner).
+          // Drop the slot and take the authoritative traversal.
+          icache_->NoteStale(plan->key_hash);
+          partial.status = IndexWalk(plan->pl.primary, plan->key_hash,
+                                     rts_used, &partial.value);
+        }
+      } else {
+        // Stale shortcut (segment GC'd or cleaned and reused,
+        // de-replication) or a fabric that kept eating the read: drop it
+        // and resolve the key as a miss, whose CPU replaces the hint's.
+        // An icache slot makes that one more planned read: another pass.
+        cache_->Invalidate(plan->key_hash);
+        OpResult miss =
+            MissPath(key, plan->key_hash, plan->pl, plan->shared, plan);
+        partial.status = miss.status;
+        partial.value = std::move(miss.value);
+        partial.cpu_us = miss.cpu_us;
+        partial.hit = cache::HitKind::kMiss;
+      }
     }
-    return Finish(std::move(partial));
   }
-
-  // The fused read came back unusable: either the pointer went stale
-  // (merge GC, tombstone, racing writer) or the fabric dropped the read
-  // and zero-filled the buffer. Both recover the same way — drop the
-  // hint and rerun the full inline path, which re-resolves and carries
-  // its own fault handling. The wasted fused cost stays on the result.
-  if (plan->from_shortcut) {
-    cache_->Invalidate(plan->key_hash);
-  } else if (icache_ != nullptr) {
-    icache_->NoteStale(plan->key_hash);
-    stats_.misses--;  // the rerun below re-counts this op's miss
-  }
-  stats_.reads--;  // the rerun below re-counts this op's read
-  OpResult retry = GetImpl(key);
-  retry.cost.Add(partial.cost);
-  retry.cpu_us += partial.cpu_us;
-  return Finish(std::move(retry));
+  partial.cost.Add(more);
+  stats_.busy_us += partial.cpu_us;
+  return Finish(std::move(partial));
 }
 
 Status KnWorker::EnsureSegmentsFor(WriteState* st,
@@ -698,6 +666,7 @@ Status KnWorker::EnsureSegmentsFor(WriteState* st,
       return seg.status();
     }));
     st->segment = seg.value();
+    ApplyRelocations();
     st->segment_used = 0;
     st->mirror_segment = pm::kNullPmPtr;
     st->mirror_used = 0;
@@ -710,6 +679,7 @@ Status KnWorker::EnsureSegmentsFor(WriteState* st,
       return seg.status();
     }));
     st->mirror_segment = seg.value();
+    ApplyRelocations();
     st->mirror_used = 0;
   }
   return Status::Ok();
@@ -874,8 +844,7 @@ Status KnWorker::FlushState(const PlacementKey& pkey, WriteState* st,
   return Status::Ok();
 }
 
-Status KnWorker::FlushAllStates(net::OpCost* cost, double* cpu_us) {
-  (void)cost;
+Status KnWorker::FlushAllStates(double* cpu_us) {
   for (auto& [pkey, st] : write_states_) {
     DINOMO_RETURN_IF_ERROR(FlushState(pkey, &st, cpu_us));
   }
@@ -892,7 +861,7 @@ OpResult KnWorker::SharedWrite(const Slice& key, const Slice& value,
   // They are also primary-only — the slot lives on the key's primary, and
   // the runtimes drop shared mode around a DPM membership change.
   double cpu = 0;
-  Status st = FlushAllStates(nullptr, &cpu);
+  Status st = FlushAllStates(&cpu);
   out.cpu_us += cpu;
   if (!st.ok()) {
     out.status = st;
@@ -1159,11 +1128,7 @@ Status KnWorker::ScanNode(int n, uint64_t start_okey, uint32_t limit,
       }
       if (!fates[i].ok()) return fates[i];
       dpm::LogRecord rec;
-      size_t consumed = 0;
-      Status st =
-          dpm::DecodeEntry(bufs[i].data(), bufs[i].size(), &rec, &consumed);
-      if (st.ok() && rec.key_hash == pend[i].key_hash &&
-          rec.op == dpm::LogOp::kPut) {
+      if (DecodePutOf(bufs[i], pend[i].key_hash, &rec)) {
         // emplace: first writer wins, so a mirror's identical copy of a
         // replicated row never duplicates (or clobbers) the primary's.
         merged->emplace(std::string(rec.key.data(), rec.key.size()),
@@ -1279,7 +1244,7 @@ OpResult KnWorker::FlushWrites() {
   OpResult out;
   net::ScopedOpCost scope(&out.cost);
   CheckPlacement();
-  out.status = FlushAllStates(nullptr, &out.cpu_us);
+  out.status = FlushAllStates(&out.cpu_us);
   stats_.busy_us += out.cpu_us;
   return out;
 }

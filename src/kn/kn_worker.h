@@ -133,20 +133,35 @@ struct EpochLoad {
   double key_freq_stddev = 0.0;
 };
 
-/// Phase-A output of a split-phase GET (doorbell fusion): the op reduced
-/// to exactly one one-sided entry read, described here so the runtime can
-/// fuse it with other queued requests' reads into a single fabric round
-/// (Fabric::OpBatch) before finishing each op with GetComplete.
+/// Phase-A output of a split-phase GET: the op reduced to exactly one
+/// one-sided entry read through a cached pointer, described here so the
+/// runtime can fuse it with other queued requests' reads into a single
+/// fabric round (AddReadTo) before finishing each op with GetComplete.
 struct DirectReadPlan {
   bool ready = false;
   /// True when the pointer came from the shortcut cache (completion
   /// refreshes it via OnShortcutHit); false = index-metadata cache.
   bool from_shortcut = false;
-  int node = -1;  // DPM node whose fabric serves the read
+  bool shared = false;   // a selectively replicated key
+  dpm::DpmPlacement pl;  // pl.primary serves the read
   uint64_t key_hash = 0;
   dpm::ValuePtr vp;
-  /// Pre-sized destination the fused read fills; GetComplete decodes it.
+  /// Destination of the read; GetComplete decodes it.
   std::string buf;
+  /// Set once a doorbell round has read `buf`, with `fate` its outcome;
+  /// unset, GetComplete issues the read.
+  bool fused = false;
+  Status fate;
+
+  /// Queues the read in a doorbell round and returns true. A pointer
+  /// through an indirect slot needs the slot read first, so it stays out
+  /// of the round (false) and GetComplete reads it.
+  bool AddReadTo(net::Fabric::OpBatch* batch) {
+    if (vp.indirect()) return false;
+    batch->AddRead(vp.offset(), buf.data(), buf.size(), &fate);
+    fused = true;
+    return true;
+  }
 };
 
 /// Maps a user key onto the 64-bit fingerprint used by the DPM index, the
@@ -202,7 +217,11 @@ class KnWorker {
   }
   const cluster::RoutingTable* routing() const { return routing_.get(); }
 
-  OpResult Get(const Slice& key) { return Finish(GetImpl(key)); }
+  OpResult Get(const Slice& key) {
+    DirectReadPlan plan;  // a batch of one: GetComplete issues the read
+    OpResult out = GetPrepare(key, &plan);
+    return plan.ready ? GetComplete(key, &plan, std::move(out)) : out;
+  }
   OpResult Put(const Slice& key, const Slice& value) {
     return Finish(WriteImpl(dpm::LogOp::kPut, key, value));
   }
@@ -230,16 +249,15 @@ class KnWorker {
   }
 
   /// Split-phase GET, phase A: runs the local part (cache probe, batch
-  /// scan, index resolution). When the op reduces to one direct one-sided
-  /// value read, fills *plan (plan->ready) and returns the partial result
-  /// WITHOUT finishing the op — the caller fuses plan->vp's read with
-  /// other requests' reads (Fabric::OpBatch) into plan->buf, then calls
-  /// GetComplete. Otherwise behaves exactly like Get().
+  /// scan, index resolution). When the op reduces to one read through a
+  /// cached pointer, fills *plan (plan->ready) and returns the partial
+  /// result WITHOUT finishing the op; the caller may fuse the read with
+  /// others', then calls GetComplete. Otherwise the result is final.
   OpResult GetPrepare(const Slice& key, DirectReadPlan* plan);
-  /// Split-phase GET, phase C: decodes the fused read in plan->buf,
-  /// verifies the key fingerprint and admits/refreshes the caches. A
-  /// stale pointer (or a dropped fused read) falls back to the full
-  /// inline read path, folding the wasted cost into the result.
+  /// Split-phase GET, phase C: reads the entry (or takes the fused read),
+  /// checks it and admits/refreshes the caches. A dropped read is retried
+  /// in place; an entry that fails the check drops the hint and resolves
+  /// the key through the miss path once.
   OpResult GetComplete(const Slice& key, DirectReadPlan* plan,
                        OpResult partial);
 
@@ -271,9 +289,11 @@ class KnWorker {
       EXCLUDES(batches_mu_);
 
   /// The log cleaner on DPM node `node` moved these entries. Queued and
-  /// applied by the worker thread at its next request: caches still
-  /// pointing at a move's old home repoint to the copy. Thread-safe; may
-  /// run concurrently with the worker thread.
+  /// applied by the worker thread at its next request or segment
+  /// allocation (ApplyRelocations): caches still pointing at a move's old
+  /// home repoint to the copy. The cleaner calls this before it frees the
+  /// moves' old segment. Thread-safe; may run concurrently with the worker
+  /// thread.
   void OnEntriesRelocated(int node, const std::vector<dpm::Relocation>& moves)
       EXCLUDES(batches_mu_);
 
@@ -337,14 +357,22 @@ class KnWorker {
   /// re-bin buffered entries).
   void CheckPlacement();
   void FailoverRecover();
+  /// Repoints the caches at the cleaner moves queued by
+  /// OnEntriesRelocated. Runs before each request and right after each
+  /// segment allocation: the allocator may hand back a block whose old
+  /// entries these moves name, and a new entry of the same key at the same
+  /// address must never be repointed at the cleaner's older copy.
+  void ApplyRelocations() EXCLUDES(batches_mu_);
 
   void RefreshIndexHandle(int n);
 
   // Reads the log entry behind `vp` on DPM node `n` (resolving one level
-  // of indirect pointer), verifies the key fingerprint, and appends the
-  // value to *value. Retries transient races a bounded number of times.
+  // of indirect pointer), checks it is a put of `key_hash`, and appends
+  // the value to *value. Retries dropped reads, and re-reads an indirect
+  // slot that raced, a bounded number of times. A non-null `fused` plan
+  // whose doorbell read already ran serves as the first attempt.
   Status ReadEntryValue(int n, dpm::ValuePtr vp, uint64_t key_hash,
-                        std::string* value, bool* was_indirect);
+                        std::string* value, DirectReadPlan* fused = nullptr);
 
   // Searches cached un-merged batches (newest first). `st` is the key's
   // write state (nullptr if none yet). Returns kNotFound / Ok(value) /
@@ -353,14 +381,20 @@ class KnWorker {
                              const Slice& key, std::string* value,
                              double* cpu_us);
 
-  // The remote miss path against the key's primary DPM node: icache-hit
-  // direct value read when possible, else index traversal + value read.
-  // `shared` keys (selectively replicated) bypass the icache — their
-  // current version lives behind an indirect slot. A non-null `plan`
-  // turns an icache hit into a deferred fused read (see GetPrepare).
+  // The remote miss path against the key's primary DPM node: an icache
+  // hit becomes a planned read (*plan), else IndexWalk. `shared` keys
+  // (selectively replicated) bypass the icache — their current version
+  // lives behind an indirect slot.
   OpResult MissPath(const Slice& key, uint64_t key_hash,
                     const dpm::DpmPlacement& pl, bool shared,
                     DirectReadPlan* plan);
+
+  // The authoritative miss: walks DPM node `n`'s index for `key_hash`,
+  // reads the entry it names into *value and admits it. `rts_spent`: the
+  // round trips this miss already paid (a stale icache read), which the
+  // DAC's admission counts.
+  Status IndexWalk(int n, uint64_t key_hash, uint32_t rts_spent,
+                   std::string* value);
 
   // Write machinery.
   Status EnsureSegmentsFor(WriteState* st, const dpm::DpmPlacement& pl,
@@ -373,12 +407,11 @@ class KnWorker {
   Status FlushState(const PlacementKey& key, WriteState* st, double* cpu_us);
   /// Flushes every placement's pending batch. Registers cached copies
   /// under batches_mu_ per placement, so the caller must not hold it.
-  Status FlushAllStates(net::OpCost* cost, double* cpu_us)
-      EXCLUDES(batches_mu_);
+  Status FlushAllStates(double* cpu_us) EXCLUDES(batches_mu_);
   OpResult SharedWrite(const Slice& key, const Slice& value,
                        uint64_t key_hash);
 
-  OpResult GetImpl(const Slice& key, DirectReadPlan* plan = nullptr);
+  OpResult GetImpl(const Slice& key, DirectReadPlan* plan);
   /// Put or Delete: one log append under the key's placement (a Put of
   /// a replicated key goes through SharedWrite instead).
   OpResult WriteImpl(dpm::LogOp op, const Slice& key, const Slice& value);

@@ -1,8 +1,9 @@
 #include "kn/kvs_node.h"
 
+#include <algorithm>
 #include <chrono>
-#include <map>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
@@ -178,6 +179,7 @@ void KvsNode::WorkerLoop(int idx) {
   // next iteration (queue order is preserved — it was enqueued after the
   // run's GETs).
   std::optional<Request> carry;
+  std::vector<Request> run;  // reused: a lone GET allocates nothing here
   while (true) {
     std::optional<Request> item;
     if (carry.has_value()) {
@@ -210,8 +212,9 @@ void KvsNode::WorkerLoop(int idx) {
     if (req.type == Request::Type::kGet) {
       // Doorbell fusion: under load, several GETs sit queued behind this
       // one. Drain a run of them and fuse their direct value reads into
-      // one fabric round per DPM node instead of one round each.
-      std::vector<Request> run;
+      // one fabric round per DPM node instead of one round each. A lone
+      // GET is a run of one.
+      run.clear();
       run.push_back(std::move(req));
       while (run.size() < kDoorbellMaxFuse) {
         auto next = queue->TryPop();
@@ -222,11 +225,8 @@ void KvsNode::WorkerLoop(int idx) {
         }
         run.push_back(std::move(*next));
       }
-      if (run.size() > 1) {
-        ExecuteGetRun(worker, run);
-        continue;
-      }
-      req = std::move(run.front());  // alone in the queue: inline path
+      ExecuteGetRun(worker, run);
+      continue;
     }
     obs::TraceContext* trace = req.trace;
     if (trace != nullptr) trace->FlushWait(trace->tracer()->NowUs());
@@ -234,9 +234,6 @@ void KvsNode::WorkerLoop(int idx) {
     OpResult result;
     for (int attempt = 0;; ++attempt) {
       switch (req.type) {
-        case Request::Type::kGet:
-          result = worker->Get(req.key);
-          break;
         case Request::Type::kPut:
           result = worker->Put(req.key, req.value);
           break;
@@ -249,7 +246,8 @@ void KvsNode::WorkerLoop(int idx) {
           result.rows = std::move(rows);
           break;
         }
-        case Request::Type::kControl:
+        case Request::Type::kGet:      // served by ExecuteGetRun
+        case Request::Type::kControl:  // run above
           break;
       }
       if (!result.status.IsBusy()) break;
@@ -291,9 +289,8 @@ void KvsNode::ExecuteGetRun(KnWorker* worker, std::vector<Request>& run) {
     DirectReadPlan plan;
   };
   // Phase A: per-request local part. Requests that complete here (value
-  // hit, batch-scan hit, wrong owner, error) or that need more than one
-  // read (index traversal, indirect slot) finish inline; the rest leave
-  // exactly one direct read pending.
+  // hit, batch-scan hit, index traversal, wrong owner, error) finish
+  // inline; the rest leave one read through a cached pointer pending.
   std::vector<PendingRead> pending;
   pending.reserve(run.size());
   for (Request& r : run) {
@@ -308,34 +305,40 @@ void KvsNode::ExecuteGetRun(KnWorker* worker, std::vector<Request>& run) {
     }
     pending.push_back(std::move(p));
   }
-  // Phase B + C: one fused fabric round per DPM node, then per-request
-  // decode/verify/complete. GETs never return Busy, so no retry loop.
-  std::map<int, std::vector<size_t>> by_node;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    by_node[pending[i].plan.node].push_back(i);
-  }
-  for (auto& [node, idxs] : by_node) {
-    PendingRead& leader = pending[idxs.front()];
-    net::OpCost fused;
-    {
-      // The fused round is charged to the group's first request, whose
-      // trace context carries the doorbell spans (rts=1 on the first
-      // fused op, 0 on the rest — see Fabric::OpBatch::Execute).
-      net::ScopedOpCost cost_scope(&fused);
-      obs::ScopedTraceContext trace_scope(leader.req->trace);
-      net::Fabric::OpBatch batch(pool_->node(node)->fabric(),
-                                 options_.fabric_node);
-      for (size_t i : idxs) {
-        PendingRead& p = pending[i];
-        batch.AddRead(p.plan.vp.offset(), p.plan.buf.data(),
-                      p.plan.buf.size());
+  // Phase B + C: one fused fabric round per DPM node, lowest node first
+  // and each node's requests in queue order, then per-request completion
+  // (decode, verify, admit). GETs never return Busy, so no retry loop.
+  std::sort(pending.begin(), pending.end(),
+            [](const PendingRead& a, const PendingRead& b) {
+              return std::tie(a.plan.pl.primary, a.req) <
+                     std::tie(b.plan.pl.primary, b.req);
+            });
+  for (size_t begin = 0, end = 0; begin < pending.size(); begin = end) {
+    const int node = pending[begin].plan.pl.primary;
+    net::Fabric::OpBatch batch(pool_->node(node)->fabric(),
+                               options_.fabric_node);
+    PendingRead* leader = nullptr;  // first request whose read is fused
+    for (end = begin;
+         end < pending.size() && pending[end].plan.pl.primary == node;
+         ++end) {
+      if (pending[end].plan.AddReadTo(&batch) && leader == nullptr) {
+        leader = &pending[end];
       }
-      // A failed fused read zero-fills its buffer, and the affected
-      // request recovers through GetComplete's decode fallback.
-      (void)batch.Execute();
     }
-    leader.partial.cost.Add(fused);
-    for (size_t i : idxs) {
+    if (leader != nullptr) {
+      // The fused round is charged to the group's first fused request,
+      // whose trace context carries the doorbell spans (rts=1 on the
+      // first fused op, 0 on the rest — see Fabric::OpBatch::Execute). A
+      // failed read keeps its own fate, which GetComplete retries.
+      net::OpCost fused;
+      {
+        net::ScopedOpCost cost_scope(&fused);
+        obs::ScopedTraceContext trace_scope(leader->req->trace);
+        (void)batch.Execute();
+      }
+      leader->partial.cost.Add(fused);
+    }
+    for (size_t i = begin; i < end; ++i) {
       PendingRead& p = pending[i];
       obs::ScopedTraceContext trace_scope(p.req->trace);
       OpResult result =

@@ -107,10 +107,11 @@ class KvsNode {
 
  private:
   void WorkerLoop(int idx);
-  /// Executes a run of GET requests with doorbell fusion: per-request
-  /// local parts first (GetPrepare), then one fused fabric round per DPM
-  /// node for the surviving direct reads, then per-request completion
-  /// (GetComplete). Every request's done callback fires exactly once.
+  /// Executes a run of GET requests (one or more) with doorbell fusion:
+  /// per-request local parts first (GetPrepare), then one fused fabric
+  /// round per DPM node for the surviving direct reads, then per-request
+  /// completion (GetComplete). Every request's done callback fires
+  /// exactly once.
   void ExecuteGetRun(KnWorker* worker, std::vector<Request>& run);
 
   KnOptions options_;

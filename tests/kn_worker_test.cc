@@ -9,6 +9,7 @@
 #include "dpm/dpm_pool.h"
 #include "kn/kn_worker.h"
 #include "net/fault.h"
+#include "obs/metrics.h"
 
 namespace dinomo {
 namespace kn {
@@ -684,6 +685,136 @@ TEST_F(KnWorkerTest, ScanFillsTheWindowPastAnUnmergedDelete) {
   EXPECT_EQ(Keys(rows), (std::vector<std::string>{ScanKey(0), ScanKey(1),
                                                   ScanKey(2), ScanKey(4),
                                                   ScanKey(5)}));
+}
+
+// ----- One read path: Get and the fused doorbell GET agree ---------------
+
+enum class Hint { kShortcut, kIcache };
+enum class Pointer { kFresh, kStale, kDropped };
+
+// One worker over one DPM node holding two merged keys, with a metrics
+// registry of its own so its counts start at zero.
+struct ParityEnv {
+  ParityEnv() : dpm(SmallDpm()), pool(&dpm) {
+    KnOptions kno;
+    kno.kn_id = 1;
+    kno.fabric_node = 1;
+    kno.cache_bytes = 1 * kMiB;
+    kno.metrics = &reg;
+    worker = std::make_unique<KnWorker>(kno, 0, &pool);
+    dpm.merge()->SetMergeCallback([this](const dpm::MergeAck& ack) {
+      worker->OnOwnerBatchMerged(ack.node, ack.base);
+    });
+  }
+
+  obs::MetricsRegistry reg;
+  dpm::DpmNode dpm;
+  dpm::DpmPool pool;
+  std::unique_ptr<KnWorker> worker;
+};
+
+// Leaves "k"'s read to one hint: a shortcut (over a fresh icache slot) or
+// an icache slot alone. A stale hint names "other"'s entry, which decodes
+// but fails the key check, as a pointer into a reused segment would.
+void ArrangeHint(ParityEnv* e, Hint hint, Pointer ptr) {
+  ASSERT_TRUE(e->worker->Put("k", "value-of-k").status.ok());
+  ASSERT_TRUE(e->worker->Put("other", "value-of-other").status.ok());
+  ASSERT_TRUE(e->worker->DrainLog().ok());
+  const uint64_t kh = KeyHash(Slice("k"));
+  const dpm::ValuePtr vp(e->dpm.index()->Lookup(
+      ptr == Pointer::kStale ? KeyHash(Slice("other")) : kh));
+  e->worker->cache()->Invalidate(kh);
+  if (hint == Hint::kShortcut) {
+    e->worker->cache()->AdmitShortcutOnly(kh, vp);
+  } else {
+    e->worker->icache()->Admit(kh, e->pool.generation(), 0, vp.raw());
+  }
+}
+
+OpResult InlineGet(ParityEnv* e) { return e->worker->Get("k"); }
+
+// The doorbell path as KvsNode::ExecuteGetRun drives it, for one request.
+OpResult FusedGet(ParityEnv* e) {
+  DirectReadPlan plan;
+  OpResult partial = e->worker->GetPrepare("k", &plan);
+  EXPECT_TRUE(plan.ready);
+  net::OpCost fused;
+  {
+    net::ScopedOpCost scope(&fused);
+    net::Fabric::OpBatch batch(e->dpm.fabric(), /*node=*/1);
+    EXPECT_TRUE(plan.AddReadTo(&batch));
+    (void)batch.Execute();
+  }
+  partial.cost.Add(fused);
+  return e->worker->GetComplete("k", &plan, std::move(partial));
+}
+
+struct Observed {
+  OpResult result;
+  uint64_t cache_lookups = 0;
+  uint64_t icache_stale = 0;
+};
+
+Observed Observe(Hint hint, Pointer ptr, OpResult (*get)(ParityEnv*)) {
+  ParityEnv e;
+  Observed o;
+  ArrangeHint(&e, hint, ptr);
+  net::FaultSchedule schedule;
+  schedule.Drop(/*node=*/-1, /*probability=*/1.0);
+  schedule.events.back().max_count = 1;  // the hint's first read only
+  net::FaultInjector injector(schedule, &e.reg);
+  if (ptr == Pointer::kDropped) e.dpm.fabric()->SetFaultInjector(&injector);
+  const uint64_t lookups = e.worker->cache()->stats().lookups();
+  const uint64_t stale = e.worker->icache()->stats().stale;
+  o.result = get(&e);
+  e.dpm.fabric()->SetFaultInjector(nullptr);
+  o.cache_lookups = e.worker->cache()->stats().lookups() - lookups;
+  o.icache_stale = e.worker->icache()->stats().stale - stale;
+  return o;
+}
+
+void ExpectOneReadPath(Hint hint, Pointer ptr) {
+  const Observed a = Observe(hint, ptr, &InlineGet);
+  const Observed b = Observe(hint, ptr, &FusedGet);
+  for (const Observed* o : {&a, &b}) {
+    ASSERT_TRUE(o->result.status.ok()) << o->result.status.ToString();
+    EXPECT_EQ(o->result.value, "value-of-k");
+    EXPECT_EQ(o->cache_lookups, 1u);  // one probe of the value cache
+    // Only a hint that failed the key check is stale; a dropped read is
+    // retried and the hint kept.
+    EXPECT_EQ(o->icache_stale,
+              hint == Hint::kIcache && ptr == Pointer::kStale ? 1u : 0u);
+  }
+  EXPECT_EQ(a.result.cost.round_trips, b.result.cost.round_trips);
+  EXPECT_EQ(a.result.cost.wire_bytes, b.result.cost.wire_bytes);
+  EXPECT_EQ(a.result.cpu_us, b.result.cpu_us);
+  EXPECT_EQ(a.result.hit, b.result.hit);
+  // A stale hint charges the miss CPU alone, not the hint's on top.
+  const KnOptions defaults;
+  const bool shortcut_served = hint == Hint::kShortcut && ptr != Pointer::kStale;
+  EXPECT_EQ(a.result.cpu_us, shortcut_served ? defaults.cpu_shortcut_hit_us
+                                             : defaults.cpu_miss_us);
+  EXPECT_EQ(a.result.hit, shortcut_served ? cache::HitKind::kShortcutHit
+                                          : cache::HitKind::kMiss);
+}
+
+TEST(KnWorkerReadPathTest, FreshShortcut) {
+  ExpectOneReadPath(Hint::kShortcut, Pointer::kFresh);
+}
+TEST(KnWorkerReadPathTest, StaleShortcutFallsToTheIcache) {
+  ExpectOneReadPath(Hint::kShortcut, Pointer::kStale);
+}
+TEST(KnWorkerReadPathTest, DroppedShortcutReadIsRetried) {
+  ExpectOneReadPath(Hint::kShortcut, Pointer::kDropped);
+}
+TEST(KnWorkerReadPathTest, FreshIcacheSlot) {
+  ExpectOneReadPath(Hint::kIcache, Pointer::kFresh);
+}
+TEST(KnWorkerReadPathTest, StaleIcacheSlotWalksTheIndex) {
+  ExpectOneReadPath(Hint::kIcache, Pointer::kStale);
+}
+TEST(KnWorkerReadPathTest, DroppedIcacheReadKeepsTheSlot) {
+  ExpectOneReadPath(Hint::kIcache, Pointer::kDropped);
 }
 
 // Shared (selectively replicated) keys.

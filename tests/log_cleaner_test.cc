@@ -11,7 +11,9 @@
 // the entry (commit marker + CRC) and checks the key fingerprint, and on a
 // mismatch re-resolves through the index (or, for a scan, re-reads the
 // row's skiplist node). The cleaner publishes a move before it frees the
-// victim, so re-resolution always finds the live copy.
+// victim, so re-resolution always finds the live copy. Relocation notices
+// save that stale read; they must reach the caches before the victim's
+// block is written again, or a notice could repoint a newer entry.
 
 #include <gtest/gtest.h>
 
@@ -411,8 +413,8 @@ TEST_F(LogCleanerTest, StaleIcacheGetRevalidatesAndReresolves) {
 }
 
 // Guarantee: validation. A fused doorbell GET planned before the move
-// reads the reused bytes after it; GetComplete rejects them and reruns the
-// inline path, which re-resolves.
+// reads the reused bytes after it; GetComplete rejects them, drops the
+// icache slot and walks the index.
 TEST_F(LogCleanerTest, StaleFusedGetRevalidatesAndReresolves) {
   ASSERT_NO_FATAL_FAILURE(WriteGarbage(4));
   const std::string key = ColdKey(3);
@@ -428,6 +430,7 @@ TEST_F(LogCleanerTest, StaleFusedGetRevalidatesAndReresolves) {
   ASSERT_TRUE(dpm_.fabric()
                   ->Read(1, plan.vp.offset(), plan.buf.data(), plan.buf.size())
                   .ok());
+  plan.fused = true;  // the read above is the doorbell round's
   auto got = worker_->GetComplete(Slice(key), &plan, std::move(partial));
   ASSERT_TRUE(got.status.ok()) << got.status.ToString();
   EXPECT_EQ(got.value, Value(key, 0));
@@ -547,6 +550,97 @@ TEST_F(LogCleanerShortcutTest, NoticesFromAnotherNodeAreIgnored) {
   ASSERT_TRUE(got.status.ok());
   EXPECT_EQ(got.value, Value(key, 0));
   EXPECT_EQ(got.cost.round_trips, 1u);  // the shortcut was left alone
+}
+
+// A cleaned victim's block goes back to the allocator, whose free lists are
+// LIFO, so the owner's next log segment is likely that very block. A write
+// of a moved key can then land at exactly the address a move names as its
+// old home. A notice applied after that write repoints the new entry's
+// pointer at the cleaner's older copy, which still decodes as the key's
+// put: validation cannot catch the stale read. ColdKey(0) is the first
+// entry of the worker's first segment, the first victim, so its rewrite as
+// the first entry of a reused block lands at its old address.
+
+// The pass hands its notices over before it frees the victim. This
+// callback rewrites the moved key until the write rolls onto a new
+// segment, and only then delivers the moves: a block freed before the
+// notices went out would be that segment.
+TEST_F(LogCleanerShortcutTest, NoticesGoOutBeforeTheVictimIsFreed) {
+  ASSERT_NO_FATAL_FAILURE(WriteGarbage(4));
+  const std::string key = ColdKey(0);
+  const dpm::ValuePtr old_home = IndexedPtr(&dpm_, key);
+  int version = 0;
+  dpm_.merge()->SetRelocationCallback(
+      [&](int node, const std::vector<dpm::Relocation>& moves) {
+        for (const dpm::Relocation& mv : moves) {
+          if (version != 0 || mv.from != old_home.raw()) continue;
+          const uint64_t segments = dpm_.Stats().segments_allocated;
+          while (dpm_.Stats().segments_allocated == segments) {
+            ++version;
+            auto put = worker_->Put(key, Value(key, version));
+            ASSERT_TRUE(put.status.ok()) << put.status.ToString();
+          }
+        }
+        worker_->OnEntriesRelocated(node, moves);
+      });
+  ASSERT_TRUE(dpm_.merge()->DrainAll().ok());
+  ASSERT_GT(version, 0);  // the pass that moved the key ran the rewrite
+
+  auto got = worker_->Get(key);
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(got.value, Value(key, version));
+}
+
+// Notices delivered while a write is under way are applied as soon as it
+// allocates a segment, before it writes there. The pass runs inside the
+// rolling write's first DPM RPC (the fault injector's clock is a hook that
+// every RPC consults), so the allocation that follows reuses its victim.
+// Two rounds leave one candidate, the first segment, so one pass runs.
+TEST_F(LogCleanerShortcutTest, NoticesApplyBeforeANewSegmentIsWritten) {
+  dpm_.merge()->SetRelocationCallback(
+      [this](int node, const std::vector<dpm::Relocation>& moves) {
+        worker_->OnEntriesRelocated(node, moves);
+      });
+  constexpr int kRounds = 2;
+  ASSERT_NO_FATAL_FAILURE(WriteGarbage(kRounds));
+  const std::string key = ColdKey(0);
+  const uint64_t kh = kn::KeyHash(Slice(key));
+  const dpm::ValuePtr old_home = IndexedPtr(&dpm_, key);
+  // Fill the worker's open segment, so that the next write rolls over.
+  const size_t per_segment =
+      (kSegmentSize - pm::kCacheLineSize) / old_home.entry_size();
+  const size_t written = kColdKeys + kRounds * kHotKeys;
+  int version = 0;
+  for (size_t i = written % per_segment; i < per_segment; ++i) {
+    ASSERT_TRUE(worker_->Put(key, Value(key, ++version)).status.ok());
+  }
+
+  net::FaultSchedule schedule;
+  schedule.Drop(/*node=*/-1, /*probability=*/0.0);
+  obs::MetricsRegistry reg;
+  net::FaultInjector injector(schedule, &reg);
+  bool cleaned = false;
+  injector.SetClock([&] {
+    if (!cleaned) {
+      cleaned = true;
+      EXPECT_TRUE(dpm_.merge()->DrainOwner(dpm::kCleanerOwner).ok());
+    }
+    return 0.0;
+  });
+  dpm_.SetFaultInjector(&injector);
+  auto put = worker_->Put(key, Value(key, ++version));
+  dpm_.SetFaultInjector(nullptr);
+  ASSERT_TRUE(put.status.ok()) << put.status.ToString();
+  ASSERT_TRUE(cleaned);
+  ASSERT_EQ(dpm_.Stats().clean_victims, 1u);
+  ASSERT_NE(IndexedPtr(&dpm_, key).offset(), old_home.offset());
+  // The scenario: the new entry sits at the key's old address.
+  const cache::LookupResult cached = worker_->cache()->Lookup(kh);
+  ASSERT_EQ(cached.ptr.raw(), old_home.raw());
+
+  auto got = worker_->Get(key);
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  EXPECT_EQ(got.value, Value(key, version));
 }
 
 // ----- Concurrency: merges and passes on real DPM threads ---------------
